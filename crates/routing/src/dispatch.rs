@@ -9,8 +9,9 @@
 
 use crate::decision::RouteDecision;
 use crate::header::{RouteHeader, RoutingFlavor};
-use crate::swbased::{RoutingAlgorithm, SwBasedRouting};
-use crate::turnmodel::{RoutingTopologyError, TurnModelRouting};
+use crate::layer::{RoutingAlgorithm, RoutingTopologyError};
+use crate::swbased::SwBasedRouting;
+use crate::turnmodel::TurnModelRouting;
 use crate::updown::UpDownRouting;
 use torus_faults::FaultSet;
 use torus_topology::{AnyTopology, Direction, NodeId};
@@ -21,7 +22,7 @@ pub enum AnyRouting {
     /// The Software-Based scheme over e-cube / Duato's protocol (all direct
     /// grid topologies).
     SwBased(SwBasedRouting),
-    /// The negative-first turn model (open grid topologies only).
+    /// The turn models (open grid topologies only).
     TurnModel(TurnModelRouting),
     /// Up*/down* routing (fat-trees only).
     UpDown(UpDownRouting),
@@ -122,6 +123,7 @@ impl RoutingAlgorithm for AnyRouting {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::driver::drive;
 
     #[test]
     fn delegates_to_the_wrapped_algorithm() {
@@ -202,24 +204,10 @@ mod tests {
                 NodeId(13),
             ),
         ] {
-            let mut header = algo.make_header(net, src, dest);
-            let mut current = src;
-            let mut hops = 0u32;
-            loop {
-                match algo.route(net, &faults, &mut header, current, 2) {
-                    RouteDecision::Deliver => break,
-                    RouteDecision::Forward(cands) => {
-                        let c = &cands[0];
-                        algo.note_hop(net, &mut header, current, c.dim, c.dir);
-                        current = net.neighbor(current, c.dim, c.dir).unwrap();
-                        hops += 1;
-                        assert!(hops <= 6);
-                    }
-                    other => panic!("unexpected {other:?} from {}", algo.name()),
-                }
-            }
-            assert_eq!(current, dest);
-            assert_eq!(hops, net.distance(src, dest));
+            let trace = drive(&algo, net, &faults, algo.make_header(net, src, dest), 2);
+            assert_eq!(trace.absorptions, 0, "{}", algo.name());
+            assert_eq!(trace.hops(), net.distance(src, dest));
+            assert!(trace.hops() <= 6);
         }
     }
 }

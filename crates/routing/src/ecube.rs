@@ -12,6 +12,7 @@
 //! (mesh) dimension needs no dateline split and may use the whole VC pool.
 
 use crate::header::RouteHeader;
+use std::ops::Range;
 use torus_topology::{Direction, Network, NodeId, VcClass};
 
 /// The e-cube output (dimension, direction) for a header at `current`, taking
@@ -60,11 +61,17 @@ pub fn ecube_vc_class(header: &RouteHeader, dim: usize) -> VcClass {
 /// dimension, the half of the VC pool assigned to the header's current
 /// dateline class; on an open dimension, the whole pool (no dateline exists,
 /// so no split is needed).
-pub fn deterministic_vcs(net: &Network, header: &RouteHeader, dim: usize, v: usize) -> Vec<usize> {
-    let policy = torus_topology::DatelinePolicy::new(net);
-    policy
-        .deterministic_range(v, dim, ecube_vc_class(header, dim))
-        .collect()
+pub fn deterministic_vcs(
+    net: &Network,
+    header: &RouteHeader,
+    dim: usize,
+    v: usize,
+) -> Range<usize> {
+    torus_topology::DatelinePolicy::new(net).deterministic_range(
+        v,
+        dim,
+        ecube_vc_class(header, dim),
+    )
 }
 
 #[cfg(test)]
@@ -150,12 +157,12 @@ mod tests {
         let dest = t.node_from_digits(&[5, 0]).unwrap();
         let mut h = RouteHeader::new(&t, src, dest, RoutingFlavor::Deterministic);
         assert_eq!(ecube_vc_class(&h, 0), VcClass::BeforeDateline);
-        assert_eq!(deterministic_vcs(&t, &h, 0, 4), vec![0, 1]);
+        assert_eq!(deterministic_vcs(&t, &h, 0, 4), 0..2);
         h.crossed_dateline[0] = true;
         assert_eq!(ecube_vc_class(&h, 0), VcClass::AfterDateline);
-        assert_eq!(deterministic_vcs(&t, &h, 0, 4), vec![2, 3]);
+        assert_eq!(deterministic_vcs(&t, &h, 0, 4), 2..4);
         // other dimensions are unaffected
-        assert_eq!(deterministic_vcs(&t, &h, 1, 6), vec![0, 1, 2]);
+        assert_eq!(deterministic_vcs(&t, &h, 1, 6), 0..3);
     }
 
     #[test]
@@ -166,8 +173,8 @@ mod tests {
         let h = RouteHeader::new(&m, src, dest, RoutingFlavor::Deterministic);
         // No dateline split on open dimensions: every VC is permitted, and a
         // single VC suffices.
-        assert_eq!(deterministic_vcs(&m, &h, 0, 4), vec![0, 1, 2, 3]);
-        assert_eq!(deterministic_vcs(&m, &h, 1, 1), vec![0]);
+        assert_eq!(deterministic_vcs(&m, &h, 0, 4), 0..4);
+        assert_eq!(deterministic_vcs(&m, &h, 1, 1), 0..1);
         // Mixed shape: the wrapped dimension still splits.
         let mixed = Network::new(vec![8, 4], vec![true, false]).unwrap();
         let h = RouteHeader::new(
@@ -176,7 +183,7 @@ mod tests {
             mixed.node_from_digits(&[5, 3]).unwrap(),
             RoutingFlavor::Deterministic,
         );
-        assert_eq!(deterministic_vcs(&mixed, &h, 0, 4), vec![0, 1]);
-        assert_eq!(deterministic_vcs(&mixed, &h, 1, 4), vec![0, 1, 2, 3]);
+        assert_eq!(deterministic_vcs(&mixed, &h, 0, 4), 0..2);
+        assert_eq!(deterministic_vcs(&mixed, &h, 1, 4), 0..4);
     }
 }

@@ -131,9 +131,6 @@ impl RouteHeader {
         if self.via.back() != Some(&self.final_dest) {
             self.via.push_back(self.final_dest);
         }
-        if self.via.is_empty() {
-            self.via.push_back(self.final_dest);
-        }
     }
 
     /// Prepends one intermediate destination before the current target

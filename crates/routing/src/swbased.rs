@@ -1,233 +1,61 @@
-//! The Software-Based fault-tolerant routing algorithm (SW-Based-nD).
+//! The e-cube / Duato base: the Software-Based algorithm of the paper
+//! (SW-Based-nD).
 //!
-//! This module is the direct counterpart of Fig. 2 of the paper. A
-//! [`SwBasedRouting`] instance encapsulates:
-//!
-//! * **normal-case routing** — dimension-order e-cube for the deterministic
-//!   flavour, Duato's Protocol for the adaptive flavour (in a fault-free
-//!   network the two flavours are *identical* to those baselines);
-//! * **fault handling** — when the chosen output channel leads to a faulty
-//!   node or link the message is absorbed ([`RouteDecision::Absorb`]) and the
-//!   message-passing software rewrites the header via
-//!   [`SwBasedRouting::reroute_on_fault`]:
-//!   1. first re-route in the *same dimension, opposite direction* (a
-//!      non-minimal traversal of the ring installed as a forced direction) —
-//!      this rule only applies to wrapped dimensions: on an open (mesh)
-//!      dimension the opposite direction leads away from the target and off
-//!      the edge, so the scheme falls through to rule 2 directly,
-//!   2. if another fault is encountered, route in an *orthogonal dimension*
-//!      (an intermediate destination one hop to the side of the fault
-//!      region),
-//!   3. if the misroute budget is exhausted, compute an explicit fault-free
-//!      intermediate-node path (the capability granted by assumption (i)(ii)
-//!      of the paper), which bounds livelock;
-//! * **post-fault behaviour** — once a message has been absorbed it is routed
-//!   deterministically for the rest of its journey (Section 4: "from this
-//!   point, faulted messages are always routed using detRouting2D").
+//! This module is the direct counterpart of Fig. 2 of the paper: the
+//! [`SoftwareLayer`] over dimension-order e-cube routing for the
+//! deterministic flavour and Duato's Protocol for the adaptive flavour (in a
+//! fault-free network the two flavours are *identical* to those baselines).
+//! E-cube is also the only base with dateline virtual-channel classes: a hop
+//! in a wrapped dimension rides the class the header has earned, while an
+//! open (mesh) dimension may use the whole pool. The software layer's rule 1
+//! (same dimension, opposite direction) therefore only ever fires under this
+//! base, and its rule 2 is the orthogonal detour below, which the turn-model
+//! base shares.
 //!
 //! The scheme's offsets, datelines and orthogonal detours are grid concepts,
-//! so [`RoutingAlgorithm::supported_on`] rejects indirect topologies with a
-//! typed error; fat-trees route with
+//! so [`RoutingAlgorithm::supported_on`](crate::RoutingAlgorithm::supported_on)
+//! rejects indirect topologies with a typed error; fat-trees route with
 //! [`UpDownRouting`](crate::updown::UpDownRouting) instead.
 
-use crate::adaptive::adaptive_candidates;
-use crate::decision::{OutputCandidate, RouteDecision};
+use crate::adaptive::productive_outputs;
 use crate::ecube::{deterministic_vcs, ecube_output, ecube_vc_class};
 use crate::header::{RouteHeader, RoutingFlavor};
-use crate::turnmodel::RoutingTopologyError;
-use serde::{Deserialize, Serialize};
+use crate::layer::{BaseRouting, RoutingTopologyError, SoftwareLayer};
+use std::ops::Range;
 use torus_faults::FaultSet;
-use torus_topology::{
-    AnyTopology, DatelinePolicy, Direction, HealthyGraph, Network, NodeId, Topology,
-};
+use torus_topology::{AnyTopology, DatelinePolicy, Direction, Network, NodeId};
 
-/// Interface between the router pipeline / software layer and a routing
-/// algorithm.
-///
-/// Every method takes the topology as an [`AnyTopology`]; algorithms that
-/// only operate on one backend (the grid-offset based schemes, the fat-tree
-/// up/down scheme) reject the other at construction time through
-/// [`RoutingAlgorithm::supported_on`] and may downcast unconditionally
-/// afterwards.
-pub trait RoutingAlgorithm {
-    /// The flavour this algorithm routes with in the absence of faults.
-    fn flavor(&self) -> RoutingFlavor;
+/// The Software-Based fault-tolerant routing algorithm for n-dimensional
+/// networks (tori, meshes, hypercubes and mixed-radix shapes).
+pub type SwBasedRouting = SoftwareLayer<EcubeBase>;
 
-    /// Minimum number of virtual channels per physical channel this algorithm
-    /// needs for deadlock freedom on the given network.
-    fn min_virtual_channels(&self, net: &AnyTopology) -> usize;
-
-    /// Checks that the algorithm can operate on `net` at all. Both simulator
-    /// engines call this at construction time and surface the error as a
-    /// typed configuration failure. Defaults to "supported everywhere"; the
-    /// negative-first turn model overrides it to reject wrapped dimensions,
-    /// the grid-offset schemes reject indirect topologies and the fat-tree
-    /// up/down scheme rejects grids.
-    fn supported_on(&self, _net: &AnyTopology) -> Result<(), RoutingTopologyError> {
-        Ok(())
+impl SwBasedRouting {
+    /// Deterministic (e-cube based) Software-Based routing.
+    pub const fn deterministic() -> Self {
+        SoftwareLayer::new(EcubeBase, RoutingFlavor::Deterministic)
     }
 
-    /// The deterministic-layer output this algorithm steers `header` towards
-    /// at `current` — the output the simulator reports as `blocked` to
-    /// [`RoutingAlgorithm::reroute_on_fault`] when a message is absorbed.
-    /// Defaults to the e-cube output on grids; the turn model overrides it
-    /// with the negative-first output and the up/down scheme with the
-    /// deterministic up/down output.
-    fn deterministic_output(
-        &self,
-        net: &AnyTopology,
-        header: &RouteHeader,
-        current: NodeId,
-    ) -> Option<(usize, Direction)> {
-        net.grid()
-            .and_then(|grid| ecube_output(grid, header, current))
+    /// Fully adaptive (Duato's-Protocol based) Software-Based routing.
+    pub const fn adaptive() -> Self {
+        SoftwareLayer::new(EcubeBase, RoutingFlavor::Adaptive)
     }
-
-    /// Builds the header of a newly generated message.
-    fn make_header(&self, net: &AnyTopology, src: NodeId, dest: NodeId) -> RouteHeader;
-
-    /// Routing decision for a header flit of `header` currently at `current`,
-    /// with `v` virtual channels per physical channel.
-    fn route(
-        &self,
-        net: &AnyTopology,
-        faults: &FaultSet,
-        header: &mut RouteHeader,
-        current: NodeId,
-        v: usize,
-    ) -> RouteDecision;
-
-    /// Header bookkeeping when the message advances one hop.
-    fn note_hop(
-        &self,
-        net: &AnyTopology,
-        header: &mut RouteHeader,
-        from: NodeId,
-        dim: usize,
-        dir: Direction,
-    );
-
-    /// Software-layer header rewrite after the message was absorbed at `at`
-    /// because output `blocked` led to a fault. Returns `false` only when the
-    /// destination is unreachable (disconnected network), in which case the
-    /// message must be dropped.
-    fn reroute_on_fault(
-        &self,
-        net: &AnyTopology,
-        faults: &FaultSet,
-        header: &mut RouteHeader,
-        at: NodeId,
-        blocked: (usize, Direction),
-    ) -> bool;
-
-    /// Human-readable name used in reports.
-    fn name(&self) -> String;
 }
 
-/// Downcast used by the grid-only algorithms after `supported_on` has
-/// validated the topology at construction time.
+/// Dimension-order e-cube with dateline VC classes, and Duato's Protocol over
+/// it as the adaptive flavour.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct EcubeBase;
+
+/// Downcast used by the grid-only bases after `supported_on` has validated
+/// the topology at construction time.
 pub(crate) fn expect_grid(net: &AnyTopology) -> &Network {
     net.grid()
         .expect("grid-only routing algorithm invoked on an indirect topology (supported_on rejects this at construction)")
 }
 
-/// The Software-Based fault-tolerant routing algorithm for n-dimensional
-/// networks (tori, meshes, hypercubes and mixed-radix shapes).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SwBasedRouting {
-    flavor: RoutingFlavor,
-}
-
-impl SwBasedRouting {
-    /// Deterministic (e-cube based) Software-Based routing.
-    pub fn deterministic() -> Self {
-        SwBasedRouting {
-            flavor: RoutingFlavor::Deterministic,
-        }
-    }
-
-    /// Fully adaptive (Duato's-Protocol based) Software-Based routing.
-    pub fn adaptive() -> Self {
-        SwBasedRouting {
-            flavor: RoutingFlavor::Adaptive,
-        }
-    }
-
-    /// Constructs the algorithm for a given flavour.
-    pub fn with_flavor(flavor: RoutingFlavor) -> Self {
-        SwBasedRouting { flavor }
-    }
-
-    /// Deterministic-mode routing step shared by the deterministic flavour and
-    /// by faulted messages of the adaptive flavour.
-    fn route_deterministic(
-        &self,
-        net: &Network,
-        faults: &FaultSet,
-        header: &RouteHeader,
-        current: NodeId,
-        v: usize,
-    ) -> RouteDecision {
-        let Some((dim, dir)) = ecube_output(net, header, current) else {
-            // No remaining offset towards the current target; `route` already
-            // handled target advancement, so this is the final destination.
-            return RouteDecision::Deliver;
-        };
-        if !faults.output_usable(net, current, dim, dir) {
-            return RouteDecision::Absorb;
-        }
-        let vcs = if header.flavor == RoutingFlavor::Adaptive {
-            // Faulted messages of the adaptive flavour travel on the escape
-            // layer (the embedded e-cube network) to preserve Duato's
-            // deadlock-freedom argument.
-            let policy = DatelinePolicy::new(net);
-            vec![policy.escape_vc(dim, ecube_vc_class(header, dim))]
-        } else {
-            deterministic_vcs(net, header, dim, v)
-        };
-        RouteDecision::Forward(vec![OutputCandidate {
-            dim,
-            dir,
-            vcs,
-            is_escape: header.flavor == RoutingFlavor::Adaptive,
-        }])
-    }
-
-    /// Dimensions to try for the orthogonal detour (rule 2), preferring the
-    /// partner dimension of the current dimension pair as in the SW-Based-nD
-    /// formulation of Fig. 2.
-    fn orthogonal_order(dims: usize, blocked_dim: usize) -> Vec<usize> {
-        orthogonal_order(dims, blocked_dim)
-    }
-}
-
-/// Installs an explicit fault-free path from `at` to the header's final
-/// destination (rule 3 / assumption (i)(ii) of the paper). Shared between the
-/// SW-Based scheme, the turn-model subsystem and the fat-tree up/down scheme,
-/// whose software layers apply the same fallback. Returns `false` only when
-/// the destination is unreachable.
-pub(crate) fn install_explicit_path<T: Topology + ?Sized>(
-    net: &T,
-    faults: &FaultSet,
-    header: &mut RouteHeader,
-    at: NodeId,
-) -> bool {
-    let graph = HealthyGraph::new(net, faults);
-    let Some(path) = graph.shortest_path(at, header.final_dest) else {
-        return false;
-    };
-    let nodes = path.nodes(net);
-    header.set_via_chain(nodes.into_iter().skip(1));
-    header.escorted = true;
-    for forced in &mut header.forced_dir {
-        *forced = None;
-    }
-    true
-}
-
 /// Dimensions to try for the orthogonal detour (rule 2), preferring the
 /// partner dimension of the blocked dimension's pair as in the SW-Based-nD
-/// formulation of Fig. 2. Shared with the turn-model software layer.
+/// formulation of Fig. 2.
 pub(crate) fn orthogonal_order(dims: usize, blocked_dim: usize) -> Vec<usize> {
     let mut order = Vec::with_capacity(dims.saturating_sub(1));
     if blocked_dim + 1 < dims {
@@ -243,17 +71,31 @@ pub(crate) fn orthogonal_order(dims: usize, blocked_dim: usize) -> Vec<usize> {
     order
 }
 
-impl RoutingAlgorithm for SwBasedRouting {
-    fn flavor(&self) -> RoutingFlavor {
-        self.flavor
-    }
+/// Rule 2 on a grid: an intermediate destination one hop into an orthogonal
+/// dimension, to slide along the fault region. `output_usable` is false for
+/// channels that do not exist or lead to a faulty node, so mesh edges and
+/// dead neighbours are skipped naturally.
+pub(crate) fn orthogonal_detour(
+    net: &Network,
+    faults: &FaultSet,
+    at: NodeId,
+    blocked_dim: usize,
+) -> Option<NodeId> {
+    orthogonal_order(net.dims(), blocked_dim)
+        .into_iter()
+        .flat_map(|o| Direction::BOTH.map(|dir| (o, dir)))
+        .find(|&(o, dir)| faults.output_usable(net, at, o, dir))
+        .map(|(o, dir)| {
+            net.neighbor(at, o, dir)
+                .expect("usable output leads to an existing neighbour")
+        })
+}
 
-    fn min_virtual_channels(&self, net: &AnyTopology) -> usize {
-        let policy = DatelinePolicy::new(expect_grid(net));
-        match self.flavor {
-            RoutingFlavor::Deterministic => policy.min_deterministic_vcs(),
-            RoutingFlavor::Adaptive => policy.min_adaptive_vcs(),
-        }
+impl BaseRouting for EcubeBase {
+    type Net = Network;
+
+    fn name(&self) -> &'static str {
+        "SW-Based-nD"
     }
 
     fn supported_on(&self, net: &AnyTopology) -> Result<(), RoutingTopologyError> {
@@ -268,143 +110,74 @@ impl RoutingAlgorithm for SwBasedRouting {
         Ok(())
     }
 
-    fn make_header(&self, net: &AnyTopology, src: NodeId, dest: NodeId) -> RouteHeader {
-        RouteHeader::new(net, src, dest, self.flavor)
+    fn view(net: &AnyTopology) -> &Network {
+        expect_grid(net)
     }
 
-    fn route(
+    fn min_virtual_channels(&self, net: &AnyTopology, flavor: RoutingFlavor) -> usize {
+        let policy = DatelinePolicy::new(expect_grid(net));
+        match flavor {
+            RoutingFlavor::Deterministic => policy.min_deterministic_vcs(),
+            RoutingFlavor::Adaptive => policy.min_adaptive_vcs(),
+        }
+    }
+
+    fn deterministic_output(
         &self,
-        net: &AnyTopology,
-        faults: &FaultSet,
-        header: &mut RouteHeader,
+        net: &Network,
+        header: &RouteHeader,
         current: NodeId,
-        v: usize,
-    ) -> RouteDecision {
-        let net = expect_grid(net);
-        // Advance through intermediate destinations that have been reached.
-        while current == header.target() {
-            if header.pending_via() > 0 {
-                // Reached an intermediate via host: the message is delivered
-                // to the local software layer and re-injected towards the
-                // next target (software forwarding, Section 3). Releasing
-                // every held channel here is what keeps the escape-layer
-                // dependency chains acyclic — an in-flight retarget could
-                // chain a forbidden turn through the via node.
-                return RouteDecision::Absorb;
-            }
-            if header.advance_target(current) {
-                return RouteDecision::Deliver;
-            }
-        }
-        if header.is_deterministic() {
-            return self.route_deterministic(net, faults, header, current, v);
-        }
-        // Adaptive flavour, not yet faulted: Duato's Protocol over the healthy
-        // productive outputs. The message is absorbed only when *all*
-        // productive outputs lead to faults (Section 5: "a message is
-        // delivered to current node when all available paths are faulty").
-        let candidates = adaptive_candidates(net, header, current, v, |dim, dir| {
-            faults.output_usable(net, current, dim, dir)
-        });
-        if candidates.is_empty() {
-            return RouteDecision::Absorb;
-        }
-        RouteDecision::Forward(candidates)
+    ) -> Option<(usize, Direction)> {
+        ecube_output(net, header, current)
     }
 
-    fn note_hop(
+    fn deterministic_vcs(
         &self,
-        net: &AnyTopology,
-        header: &mut RouteHeader,
-        from: NodeId,
+        net: &Network,
+        header: &RouteHeader,
         dim: usize,
-        dir: Direction,
-    ) {
-        header.note_hop(net, from, dim, dir);
+        v: usize,
+    ) -> Range<usize> {
+        deterministic_vcs(net, header, dim, v)
     }
 
-    fn reroute_on_fault(
+    fn escape_vc(&self, net: &Network, header: &RouteHeader, dim: usize) -> usize {
+        DatelinePolicy::new(net).escape_vc(dim, ecube_vc_class(header, dim))
+    }
+
+    fn adaptive_vcs(&self, net: &Network, v: usize) -> Range<usize> {
+        DatelinePolicy::new(net).adaptive_range(v)
+    }
+
+    fn adaptive_outputs(
         &self,
-        net: &AnyTopology,
+        net: &Network,
+        header: &RouteHeader,
+        current: NodeId,
+        mut emit: impl FnMut(usize, Direction),
+    ) {
+        for (dim, dir) in productive_outputs(net, header, current) {
+            emit(dim, dir);
+        }
+    }
+
+    fn detour(
+        &self,
+        net: &Network,
         faults: &FaultSet,
-        header: &mut RouteHeader,
         at: NodeId,
         blocked: (usize, Direction),
-    ) -> bool {
-        let net = expect_grid(net);
-        // Software forwarding: the message was absorbed because it reached an
-        // intermediate via host, not because of a new fault. Pop the reached
-        // target(s) and re-inject unchanged.
-        if at == header.target() && header.pending_via() > 0 {
-            header.absorptions += 1;
-            while at == header.target() && header.pending_via() > 0 {
-                header.advance_target(at);
-            }
-            return true;
-        }
-
-        header.absorptions += 1;
-        header.faulted = true;
-
-        // Rule 3 (fallback): out of budget, or already escorted yet absorbed
-        // again (which can only happen if the fault set changed) — compute an
-        // explicit fault-free path.
-        if header.escorted || header.misroute_budget == 0 {
-            return install_explicit_path(net, faults, header, at);
-        }
-        header.misroute_budget -= 1;
-
-        let (dim, dir) = blocked;
-
-        // Rule 1: re-route in the same dimension, opposite direction. Only a
-        // wrapped dimension can reach the target the "wrong way round"; on an
-        // open dimension the opposite direction walks away from the target
-        // and dead-ends at the edge, so the rule is skipped there.
-        if net.wraps(dim) && header.forced_dir[dim].is_none() {
-            let opposite = dir.opposite();
-            if faults.output_usable(net, at, dim, opposite)
-                && net.offset(at, header.target(), dim) != 0
-            {
-                header.forced_dir[dim] = Some(opposite);
-                return true;
-            }
-        }
-
-        // Rule 2: route in an orthogonal dimension to slide along the fault
-        // region, then resume towards the destination. `output_usable` is
-        // false for channels that do not exist, so mesh edges are skipped
-        // naturally.
-        for o in Self::orthogonal_order(net.dims(), dim) {
-            for cand_dir in Direction::BOTH {
-                if !faults.output_usable(net, at, o, cand_dir) {
-                    continue;
-                }
-                let via = net
-                    .neighbor(at, o, cand_dir)
-                    .expect("usable output leads to an existing neighbour");
-                if faults.is_node_faulty(via) {
-                    continue;
-                }
-                header.forced_dir[dim] = None;
-                header.push_intermediate(via);
-                return true;
-            }
-        }
-
-        // Every neighbouring move is faulty (the node is walled in except for
-        // the channel the message arrived on) — fall back to the explicit
-        // path, which exists as long as the network is connected.
-        install_explicit_path(net, faults, header, at)
-    }
-
-    fn name(&self) -> String {
-        format!("SW-Based-nD ({})", self.flavor.label())
+    ) -> Option<NodeId> {
+        orthogonal_detour(net, faults, at, blocked.0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decision::RouteDecision;
+    use crate::layer::driver::drive;
+    use crate::RoutingAlgorithm;
 
     fn torus() -> AnyTopology {
         AnyTopology::torus(8, 2).unwrap()
@@ -419,73 +192,43 @@ mod tests {
         t.grid().unwrap().node_from_digits(digits).unwrap()
     }
 
-    /// Walks a message through the network with the given algorithm, always
-    /// taking the first candidate, and returns the nodes visited. Panics on
-    /// Absorb (tests that expect absorption handle it themselves).
-    fn walk(
-        net: &AnyTopology,
-        faults: &FaultSet,
-        algo: &SwBasedRouting,
-        src: NodeId,
-        dest: NodeId,
-    ) -> Vec<NodeId> {
-        let mut header = algo.make_header(net, src, dest);
-        let mut current = src;
-        let mut visited = vec![src];
-        for _ in 0..10_000 {
-            match algo.route(net, faults, &mut header, current, 4) {
-                RouteDecision::Deliver => return visited,
-                RouteDecision::Absorb => {
-                    panic!("unexpected absorption at {current:?}");
-                }
-                RouteDecision::Forward(cands) => {
-                    let c = &cands[0];
-                    algo.note_hop(net, &mut header, current, c.dim, c.dir);
-                    current = net.neighbor(current, c.dim, c.dir).expect("existing hop");
-                    visited.push(current);
-                }
-            }
-        }
-        panic!("message did not arrive");
-    }
-
     #[test]
     fn fault_free_deterministic_is_ecube() {
         let t = torus();
-        let algo = SwBasedRouting::deterministic();
-        let src = node(&t, &[1, 1]);
-        let dest = node(&t, &[5, 3]);
-        let visited = walk(&t, &no_faults(), &algo, src, dest);
-        let expected: Vec<NodeId> =
-            torus_topology::dimension_order_path(t.grid().unwrap(), src, dest).nodes(&t);
-        assert_eq!(visited, expected);
-    }
-
-    #[test]
-    fn fault_free_deterministic_is_ecube_on_meshes_and_hypercubes() {
-        for net in [
+        let (mesh, hc) = (
             AnyTopology::mesh(8, 2).unwrap(),
             AnyTopology::hypercube(5).unwrap(),
+        );
+        for (net, src, dest) in [
+            (&t, node(&t, &[1, 1]), node(&t, &[5, 3])),
+            (&mesh, NodeId(1), NodeId(mesh.num_nodes() as u32 - 2)),
+            (&hc, NodeId(1), NodeId(hc.num_nodes() as u32 - 2)),
         ] {
             let algo = SwBasedRouting::deterministic();
-            let src = NodeId(1);
-            let dest = NodeId(net.num_nodes() as u32 - 2);
-            let visited = walk(&net, &no_faults(), &algo, src, dest);
             let expected: Vec<NodeId> =
-                torus_topology::dimension_order_path(net.grid().unwrap(), src, dest).nodes(&net);
-            assert_eq!(visited, expected);
+                torus_topology::dimension_order_path(net.grid().unwrap(), src, dest).nodes(net);
+            let trace = drive(
+                &algo,
+                net,
+                &no_faults(),
+                algo.make_header(net, src, dest),
+                4,
+            );
+            assert_eq!((trace.visited, trace.absorptions), (expected, 0));
         }
     }
 
     #[test]
     fn fault_free_adaptive_reaches_destination_minimally() {
         let t = torus();
-        let algo = SwBasedRouting::adaptive();
         let src = node(&t, &[0, 0]);
         let dest = node(&t, &[3, 6]);
-        let visited = walk(&t, &no_faults(), &algo, src, dest);
-        assert_eq!(visited.len() as u32 - 1, t.distance(src, dest));
-        assert_eq!(*visited.last().unwrap(), dest);
+        let algo = SwBasedRouting::adaptive();
+        let trace = drive(&algo, &t, &no_faults(), algo.make_header(&t, src, dest), 4);
+        assert_eq!(
+            (trace.hops(), trace.absorptions),
+            (t.distance(src, dest), 0)
+        );
     }
 
     #[test]
@@ -495,13 +238,60 @@ mod tests {
         // Fault directly on the e-cube path.
         faults.fail_node(node(&t, &[2, 0]));
         let algo = SwBasedRouting::deterministic();
-        let src = node(&t, &[0, 0]);
-        let dest = node(&t, &[4, 0]);
-        let mut header = algo.make_header(&t, src, dest);
-        // Walk to the node adjacent to the fault.
-        let one = node(&t, &[1, 0]);
-        let d = algo.route(&t, &faults, &mut header, one, 4);
+        let mut header = algo.make_header(&t, node(&t, &[0, 0]), node(&t, &[4, 0]));
+        // At the node adjacent to the fault.
+        let d = algo.route(&t, &faults, &mut header, node(&t, &[1, 0]), 4);
         assert!(d.is_absorb());
+    }
+
+    #[test]
+    fn adaptive_candidates_are_duato_over_ecube() {
+        let t = AnyTopology::torus(8, 3).unwrap();
+        let algo = SwBasedRouting::adaptive();
+        let src = node(&t, &[0, 0, 0]);
+        let mut h = algo.make_header(&t, src, node(&t, &[3, 2, 0]));
+        let d = algo.route(&t, &no_faults(), &mut h, src, 6);
+        let cands = d.candidates();
+        // Two productive dims -> two adaptive candidates, then one escape.
+        assert_eq!(cands.len(), 3);
+        assert!(cands[2].is_escape && cands[..2].iter().all(|c| !c.is_escape));
+        // The escape follows e-cube (lowest unresolved dimension) on the
+        // escape VC of its dateline class; the two dateline classes'
+        // escape channels are reserved out of the adaptive pool.
+        assert_eq!((cands[2].dim, &cands[2].vcs), (0, &vec![0]));
+        for c in &cands[..2] {
+            assert_eq!(c.vcs, vec![2, 3, 4, 5]);
+        }
+        // After the dateline the escape switches class.
+        let mut h = algo.make_header(&t, src, node(&t, &[3, 0, 0]));
+        h.crossed_dateline[0] = true;
+        let d = algo.route(&t, &no_faults(), &mut h, src, 4);
+        assert_eq!(d.candidates().last().unwrap().vcs, vec![1]);
+    }
+
+    #[test]
+    fn mesh_reserves_a_single_escape_channel() {
+        // A pure mesh needs only one escape class, so with the same v the
+        // adaptive pool is one channel larger than on a torus.
+        let m = AnyTopology::mesh(8, 2).unwrap();
+        let algo = SwBasedRouting::adaptive();
+        let src = node(&m, &[0, 0]);
+        let mut h = algo.make_header(&m, src, node(&m, &[3, 2]));
+        let d = algo.route(&m, &no_faults(), &mut h, src, 6);
+        assert!(d.candidates().last().unwrap().is_escape);
+        for c in d.candidates() {
+            let expected = if c.is_escape {
+                vec![0]
+            } else {
+                vec![1, 2, 3, 4, 5]
+            };
+            assert_eq!(c.vcs, expected);
+        }
+        // Two VCs suffice for Duato's protocol on a mesh.
+        assert!(!algo
+            .route(&m, &no_faults(), &mut h, src, 2)
+            .candidates()
+            .is_empty());
     }
 
     #[test]
@@ -511,16 +301,14 @@ mod tests {
         faults.fail_node(node(&t, &[2, 1]));
         let algo = SwBasedRouting::adaptive();
         let src = node(&t, &[1, 1]);
-        let dest = node(&t, &[3, 3]);
-        let mut header = algo.make_header(&t, src, dest);
+        let mut header = algo.make_header(&t, src, node(&t, &[3, 3]));
         let d = algo.route(&t, &faults, &mut header, src, 6);
-        // dim 0 plus is faulty but dim 1 plus is healthy: still forwarding.
+        // dim 0 plus is faulty but dim 1 plus is healthy: still forwarding,
+        // and the escape (e-cube, dim 0) is filtered out with its channel.
         match d {
             RouteDecision::Forward(cands) => {
-                assert!(cands
-                    .iter()
-                    .all(|c| !(c.dim == 0 && c.dir == Direction::Plus)));
-                assert!(!cands.is_empty());
+                assert_eq!(cands.len(), 1);
+                assert_eq!((cands[0].dim, cands[0].is_escape), (1, false));
             }
             other => panic!("expected Forward, got {other:?}"),
         }
@@ -535,10 +323,8 @@ mod tests {
         faults.fail_node(node(&t, &[1, 2]));
         let algo = SwBasedRouting::adaptive();
         let src = node(&t, &[1, 1]);
-        let dest = node(&t, &[2, 2]);
-        let mut header = algo.make_header(&t, src, dest);
-        let d = algo.route(&t, &faults, &mut header, src, 6);
-        assert!(d.is_absorb());
+        let mut header = algo.make_header(&t, src, node(&t, &[2, 2]));
+        assert!(algo.route(&t, &faults, &mut header, src, 6).is_absorb());
     }
 
     #[test]
@@ -548,8 +334,7 @@ mod tests {
         faults.fail_node(node(&t, &[2, 0]));
         let algo = SwBasedRouting::deterministic();
         let src = node(&t, &[1, 0]);
-        let dest = node(&t, &[4, 0]);
-        let mut header = algo.make_header(&t, src, dest);
+        let mut header = algo.make_header(&t, src, node(&t, &[4, 0]));
         assert!(algo.reroute_on_fault(&t, &faults, &mut header, src, (0, Direction::Plus)));
         assert!(header.faulted);
         assert_eq!(header.absorptions, 1);
@@ -565,8 +350,7 @@ mod tests {
         faults.fail_node(node(&m, &[2, 0]));
         let algo = SwBasedRouting::deterministic();
         let at = node(&m, &[1, 0]);
-        let dest = node(&m, &[4, 0]);
-        let mut header = algo.make_header(&m, at, dest);
+        let mut header = algo.make_header(&m, at, node(&m, &[4, 0]));
         assert!(algo.reroute_on_fault(&m, &faults, &mut header, at, (0, Direction::Plus)));
         assert!(header.forced_dir.iter().all(Option::is_none));
         assert_eq!(header.pending_via(), 1);
@@ -584,8 +368,7 @@ mod tests {
         faults.fail_node(node(&t, &[0, 0]));
         let algo = SwBasedRouting::deterministic();
         let at = node(&t, &[1, 0]);
-        let dest = node(&t, &[4, 0]);
-        let mut header = algo.make_header(&t, at, dest);
+        let mut header = algo.make_header(&t, at, node(&t, &[4, 0]));
         assert!(algo.reroute_on_fault(&t, &faults, &mut header, at, (0, Direction::Plus)));
         // An orthogonal intermediate destination (one hop in dimension 1) was
         // installed.
@@ -616,121 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn reroute_falls_back_to_explicit_path_when_budget_exhausted() {
-        let t = torus();
-        let mut faults = FaultSet::new();
-        faults.fail_node(node(&t, &[3, 3]));
-        let algo = SwBasedRouting::deterministic();
-        let at = node(&t, &[3, 2]);
-        let dest = node(&t, &[3, 5]);
-        let mut header = algo.make_header(&t, at, dest);
-        header.misroute_budget = 0;
-        assert!(algo.reroute_on_fault(&t, &faults, &mut header, at, (1, Direction::Plus)));
-        assert!(header.escorted);
-        // The explicit path must avoid the faulty node and end at the
-        // destination.
-        let mut current = at;
-        let mut hops = 0;
-        while current != dest {
-            match algo.route(&t, &faults, &mut header, current, 4) {
-                RouteDecision::Deliver => break,
-                RouteDecision::Forward(cands) => {
-                    let c = &cands[0];
-                    algo.note_hop(&t, &mut header, current, c.dim, c.dir);
-                    current = t.neighbor(current, c.dim, c.dir).expect("existing hop");
-                    assert!(!faults.is_node_faulty(current));
-                }
-                RouteDecision::Absorb => {
-                    // Escorted hops are software-forwarded through every via
-                    // host: absorbed and re-injected towards the next one.
-                    let blocked = ecube_output(t.grid().unwrap(), &header, current)
-                        .unwrap_or((0, Direction::Plus));
-                    assert!(
-                        algo.reroute_on_fault(&t, &faults, &mut header, current, blocked),
-                        "escorted message must always forward"
-                    );
-                    header.reset_for_injection();
-                }
-            }
-            hops += 1;
-            assert!(hops < 100);
-        }
-    }
-
-    #[test]
-    fn deterministic_message_routes_around_single_fault_end_to_end() {
-        // Full software loop: route, absorb, re-route, re-inject (conceptually)
-        // until delivery, mirroring what the simulator does — on a torus and
-        // on the matching mesh.
-        for net in [
-            AnyTopology::torus(8, 2).unwrap(),
-            AnyTopology::mesh(8, 2).unwrap(),
-        ] {
-            let mut faults = FaultSet::new();
-            faults.fail_node(node(&net, &[3, 0]));
-            let algo = SwBasedRouting::deterministic();
-            let src = node(&net, &[1, 0]);
-            let dest = node(&net, &[4, 0]);
-
-            let mut header = algo.make_header(&net, src, dest);
-            let mut current = src;
-            let mut absorptions = 0;
-            let mut steps = 0;
-            loop {
-                steps += 1;
-                assert!(steps < 1000, "livelock: message never delivered");
-                match algo.route(&net, &faults, &mut header, current, 4) {
-                    RouteDecision::Deliver => break,
-                    RouteDecision::Forward(cands) => {
-                        let c = &cands[0];
-                        algo.note_hop(&net, &mut header, current, c.dim, c.dir);
-                        current = net.neighbor(current, c.dim, c.dir).expect("existing hop");
-                        assert!(!faults.is_node_faulty(current));
-                    }
-                    RouteDecision::Absorb => {
-                        absorptions += 1;
-                        // Determine the blocked output exactly as the router
-                        // does; a via host at its reached target has none.
-                        let blocked = algo
-                            .deterministic_output(&net, &header, current)
-                            .unwrap_or((0, Direction::Plus));
-                        assert!(algo.reroute_on_fault(
-                            &net,
-                            &faults,
-                            &mut header,
-                            current,
-                            blocked
-                        ));
-                        header.reset_for_injection();
-                    }
-                }
-            }
-            assert_eq!(current, dest);
-            assert!(absorptions >= 1, "the fault lies on the e-cube path");
-            assert_eq!(header.absorptions, absorptions);
-        }
-    }
-
-    #[test]
-    fn adaptive_flavor_faulted_message_uses_escape_vcs() {
-        let t = torus();
-        let algo = SwBasedRouting::adaptive();
-        let src = node(&t, &[0, 0]);
-        let dest = node(&t, &[4, 0]);
-        let mut header = algo.make_header(&t, src, dest);
-        header.faulted = true;
-        let d = algo.route(&t, &no_faults(), &mut header, src, 6);
-        match d {
-            RouteDecision::Forward(cands) => {
-                assert_eq!(cands.len(), 1);
-                assert_eq!(cands[0].vcs, vec![0]);
-                assert!(cands[0].is_escape);
-            }
-            other => panic!("expected Forward, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn min_virtual_channels_and_names() {
         let t = torus();
         let m = AnyTopology::mesh(8, 2).unwrap();
@@ -749,10 +417,7 @@ mod tests {
             SwBasedRouting::deterministic().name(),
             "SW-Based-nD (deterministic)"
         );
-        assert_eq!(
-            SwBasedRouting::with_flavor(RoutingFlavor::Adaptive).flavor(),
-            RoutingFlavor::Adaptive
-        );
+        assert_eq!(SwBasedRouting::adaptive().flavor(), RoutingFlavor::Adaptive);
     }
 
     #[test]
@@ -780,10 +445,10 @@ mod tests {
 
     #[test]
     fn orthogonal_order_prefers_pair_partner() {
-        assert_eq!(SwBasedRouting::orthogonal_order(3, 0), vec![1, 2]);
-        assert_eq!(SwBasedRouting::orthogonal_order(3, 1), vec![2, 0]);
-        assert_eq!(SwBasedRouting::orthogonal_order(3, 2), vec![1, 0]);
-        assert_eq!(SwBasedRouting::orthogonal_order(2, 1), vec![0]);
-        assert_eq!(SwBasedRouting::orthogonal_order(1, 0), Vec::<usize>::new());
+        assert_eq!(orthogonal_order(3, 0), vec![1, 2]);
+        assert_eq!(orthogonal_order(3, 1), vec![2, 0]);
+        assert_eq!(orthogonal_order(3, 2), vec![1, 0]);
+        assert_eq!(orthogonal_order(2, 1), vec![0]);
+        assert_eq!(orthogonal_order(1, 0), Vec::<usize>::new());
     }
 }

@@ -42,11 +42,11 @@
 //! topologies outright — turn directions are grid offsets, which a fat-tree
 //! does not have.
 //!
-//! **Fault handling** mirrors the SW-Based software layer (Fig. 2 of the
-//! paper) minus rule 1: re-routing in the same dimension, opposite direction
-//! only pays off on a wrapped ring, which this model never runs on, so an
-//! absorbed message goes straight to the orthogonal detour (rule 2) and
-//! falls back to an explicit fault-free path (rule 3) when the misroute
+//! **Fault handling** is the shared [`SoftwareLayer`] minus rule 1:
+//! re-routing in the same dimension, opposite direction only pays off on a
+//! wrapped ring, which this model never runs on, so an absorbed message goes
+//! straight to the orthogonal detour (rule 2, shared with the e-cube base)
+//! and falls back to an explicit fault-free path (rule 3) when the misroute
 //! budget is exhausted. As with the SW-Based scheme, the detour legs of a
 //! faulted message may violate the turn restriction across absorption
 //! boundaries; the deadlock-freedom argument for the fault-free layer (the
@@ -55,72 +55,11 @@
 
 use crate::adaptive::productive_outputs;
 use crate::cdg::TurnRule;
-use crate::decision::{OutputCandidate, RouteDecision};
 use crate::header::{RouteHeader, RoutingFlavor};
-use crate::swbased::{expect_grid, install_explicit_path, orthogonal_order, RoutingAlgorithm};
-use serde::{Deserialize, Serialize};
-use std::fmt;
+use crate::layer::{BaseRouting, RoutingTopologyError, SoftwareLayer};
+use crate::swbased::{expect_grid, orthogonal_detour};
 use torus_faults::FaultSet;
 use torus_topology::{AnyTopology, Direction, Network, NodeId};
-
-/// Typed error for routing algorithms that cannot operate on a topology.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RoutingTopologyError {
-    /// The algorithm requires every dimension to be open (non-wrap), but the
-    /// network wraps in the named dimension.
-    WrappedDimension {
-        /// Human-readable algorithm name.
-        algorithm: &'static str,
-        /// Shape string of the offending topology (`Network` display form,
-        /// e.g. `8x8` for a wrapped 8x8 torus), parseable as a topology spec.
-        shape: String,
-        /// First wrapped dimension encountered.
-        dim: usize,
-        /// Radix of that dimension.
-        radix: u16,
-    },
-    /// The algorithm does not operate on this topology class at all (a
-    /// grid-offset scheme handed an indirect fat-tree, or the up/down scheme
-    /// handed a direct grid).
-    UnsupportedTopology {
-        /// Human-readable algorithm name.
-        algorithm: &'static str,
-        /// Display form of the offending topology, parseable as a topology
-        /// spec (e.g. `8x8` or `ft:4,2`).
-        topology: String,
-        /// What the algorithm needs instead (human-readable).
-        requires: &'static str,
-    },
-}
-
-impl fmt::Display for RoutingTopologyError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RoutingTopologyError::WrappedDimension {
-                algorithm,
-                shape,
-                dim,
-                radix,
-            } => write!(
-                f,
-                "{algorithm} routing requires open dimensions, but topology \
-                 '{shape}' wraps around in dimension {dim} (radix {radix}); \
-                 use a mesh/hypercube topology or Duato-over-e-cube routing"
-            ),
-            RoutingTopologyError::UnsupportedTopology {
-                algorithm,
-                topology,
-                requires,
-            } => write!(
-                f,
-                "{algorithm} routing cannot operate on topology '{topology}': \
-                 it requires {requires}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for RoutingTopologyError {}
 
 /// The canonical turn-rule output for a header at `current`: the lowest
 /// dimension with a productive hop in its first-phase direction, else the
@@ -157,156 +96,76 @@ pub fn turn_rule_output(
     second_phase
 }
 
-/// The canonical negative-first output: first-phase (Minus) hops in
-/// increasing dimension order, then second-phase (Plus) hops.
-pub fn negative_first_output(
-    net: &Network,
-    header: &RouteHeader,
-    current: NodeId,
-) -> Option<(usize, Direction)> {
-    turn_rule_output(net, TurnRule::NegativeFirst, header, current)
-}
-
 /// Turn-model routing for open multidimensional networks, parameterised over
-/// the turn rule (negative-first or west-first) and the routing flavour.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TurnModelRouting {
-    flavor: RoutingFlavor,
-    rule: TurnRule,
-}
+/// the turn rule (negative-first, west-first or north-last) and the routing
+/// flavour.
+pub type TurnModelRouting = SoftwareLayer<TurnRuleBase>;
 
 impl TurnModelRouting {
     /// Deterministic (canonical negative-first order) routing.
-    pub fn deterministic() -> Self {
-        TurnModelRouting {
-            flavor: RoutingFlavor::Deterministic,
-            rule: TurnRule::NegativeFirst,
-        }
+    pub const fn deterministic() -> Self {
+        turn_model(TurnRule::NegativeFirst, RoutingFlavor::Deterministic)
     }
 
     /// Phase-adaptive negative-first routing with a negative-first escape
     /// channel.
-    pub fn adaptive() -> Self {
-        TurnModelRouting {
-            flavor: RoutingFlavor::Adaptive,
-            rule: TurnRule::NegativeFirst,
-        }
+    pub const fn adaptive() -> Self {
+        turn_model(TurnRule::NegativeFirst, RoutingFlavor::Adaptive)
     }
 
     /// Deterministic west-first routing (dimension 0 routes Minus first,
     /// every higher dimension Plus first).
-    pub fn west_first_deterministic() -> Self {
-        TurnModelRouting {
-            flavor: RoutingFlavor::Deterministic,
-            rule: TurnRule::WestFirst,
-        }
+    pub const fn west_first_deterministic() -> Self {
+        turn_model(TurnRule::WestFirst, RoutingFlavor::Deterministic)
     }
 
     /// Phase-adaptive west-first routing with a west-first escape channel.
-    pub fn west_first_adaptive() -> Self {
-        TurnModelRouting {
-            flavor: RoutingFlavor::Adaptive,
-            rule: TurnRule::WestFirst,
-        }
+    pub const fn west_first_adaptive() -> Self {
+        turn_model(TurnRule::WestFirst, RoutingFlavor::Adaptive)
     }
 
     /// Deterministic north-last routing (dimension 0 routes Plus first,
     /// every higher dimension Minus first — the mirror of west-first, so the
     /// northward hops of the higher dimensions come last).
-    pub fn north_last_deterministic() -> Self {
-        TurnModelRouting {
-            flavor: RoutingFlavor::Deterministic,
-            rule: TurnRule::NorthLast,
-        }
+    pub const fn north_last_deterministic() -> Self {
+        turn_model(TurnRule::NorthLast, RoutingFlavor::Deterministic)
     }
 
     /// Phase-adaptive north-last routing with a north-last escape channel.
-    pub fn north_last_adaptive() -> Self {
-        TurnModelRouting {
-            flavor: RoutingFlavor::Adaptive,
-            rule: TurnRule::NorthLast,
-        }
+    pub const fn north_last_adaptive() -> Self {
+        turn_model(TurnRule::NorthLast, RoutingFlavor::Adaptive)
     }
+}
 
-    /// Constructs the negative-first algorithm for a given flavour.
-    pub fn with_flavor(flavor: RoutingFlavor) -> Self {
-        TurnModelRouting {
-            flavor,
-            rule: TurnRule::NegativeFirst,
-        }
-    }
+const fn turn_model(rule: TurnRule, flavor: RoutingFlavor) -> TurnModelRouting {
+    SoftwareLayer::new(TurnRuleBase(rule), flavor)
+}
 
-    /// The turn rule this instance routes under.
-    pub fn rule(&self) -> TurnRule {
-        self.rule
-    }
+/// A turn rule as a base routing: the canonical turn-rule order as the
+/// deterministic (and escape) output, phase-restricted minimal adaptivity
+/// above it. Only the three rules that order every dimension are
+/// constructible.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TurnRuleBase(TurnRule);
 
-    fn rule_label(&self) -> &'static str {
-        match self.rule {
-            TurnRule::WestFirst => "West-First",
-            TurnRule::NorthLast => "North-Last",
-            _ => "Negative-First",
-        }
-    }
-
-    fn algorithm_label(&self) -> &'static str {
-        match self.rule {
+impl TurnRuleBase {
+    fn algorithm_label(self) -> &'static str {
+        match self.0 {
             TurnRule::WestFirst => "west-first turn-model",
             TurnRule::NorthLast => "north-last turn-model",
             _ => "negative-first turn-model",
         }
     }
-
-    /// Deterministic-mode routing step shared by the deterministic flavour
-    /// and by faulted messages of the adaptive flavour.
-    fn route_deterministic(
-        &self,
-        net: &Network,
-        faults: &FaultSet,
-        header: &RouteHeader,
-        current: NodeId,
-        v: usize,
-    ) -> RouteDecision {
-        let Some((dim, dir)) = turn_rule_output(net, self.rule, header, current) else {
-            // `route` already advanced through reached targets, so a missing
-            // output means the final destination.
-            return RouteDecision::Deliver;
-        };
-        if !faults.output_usable(net, current, dim, dir) {
-            return RouteDecision::Absorb;
-        }
-        let (vcs, is_escape) = if header.flavor == RoutingFlavor::Adaptive {
-            // Faulted adaptive-flavour messages travel on the turn-rule
-            // escape channel, mirroring the SW-Based scheme's use of the
-            // e-cube escape layer.
-            (vec![0], true)
-        } else {
-            // No dateline class exists on open dimensions: the whole pool is
-            // permitted, and a single VC suffices (the turn-rule CDG is
-            // acyclic with one class).
-            ((0..v).collect(), false)
-        };
-        RouteDecision::Forward(vec![OutputCandidate {
-            dim,
-            dir,
-            vcs,
-            is_escape,
-        }])
-    }
 }
 
-impl RoutingAlgorithm for TurnModelRouting {
-    fn flavor(&self) -> RoutingFlavor {
-        self.flavor
-    }
+impl BaseRouting for TurnRuleBase {
+    type Net = Network;
 
-    fn min_virtual_channels(&self, _net: &AnyTopology) -> usize {
-        match self.flavor {
-            // The turn restriction alone is deadlock free: one VC suffices.
-            RoutingFlavor::Deterministic => 1,
-            // One negative-first escape channel plus at least one adaptive
-            // channel.
-            RoutingFlavor::Adaptive => 2,
+    fn name(&self) -> &'static str {
+        match self.0 {
+            TurnRule::WestFirst => "West-First",
+            TurnRule::NorthLast => "North-Last",
+            _ => "Negative-First",
         }
     }
 
@@ -319,65 +178,43 @@ impl RoutingAlgorithm for TurnModelRouting {
                            fat-trees route with the up/down scheme",
             });
         };
-        for dim in 0..grid.dims() {
-            if grid.wraps(dim) {
-                return Err(RoutingTopologyError::WrappedDimension {
-                    algorithm: self.algorithm_label(),
-                    shape: grid.to_string(),
-                    dim,
-                    radix: grid.radix(dim),
-                });
-            }
+        match (0..grid.dims()).find(|&dim| grid.wraps(dim)) {
+            Some(dim) => Err(RoutingTopologyError::WrappedDimension {
+                algorithm: self.algorithm_label(),
+                shape: grid.to_string(),
+                dim,
+                radix: grid.radix(dim),
+            }),
+            None => Ok(()),
         }
-        Ok(())
+    }
+
+    fn view(net: &AnyTopology) -> &Network {
+        expect_grid(net)
     }
 
     fn deterministic_output(
         &self,
-        net: &AnyTopology,
+        net: &Network,
         header: &RouteHeader,
         current: NodeId,
     ) -> Option<(usize, Direction)> {
-        turn_rule_output(expect_grid(net), self.rule, header, current)
+        turn_rule_output(net, self.0, header, current)
     }
 
-    fn make_header(&self, net: &AnyTopology, src: NodeId, dest: NodeId) -> RouteHeader {
-        RouteHeader::new(net, src, dest, self.flavor)
-    }
-
-    fn route(
+    /// Any productive output of the current turn-rule phase. While any
+    /// productive first-phase hop remains only first-phase hops are legal;
+    /// afterwards the remaining productive hops are all second-phase, so a
+    /// first-phase hop can never follow a second-phase hop towards the same
+    /// target (offsets shrink monotonically under minimal routing).
+    fn adaptive_outputs(
         &self,
-        net: &AnyTopology,
-        faults: &FaultSet,
-        header: &mut RouteHeader,
+        net: &Network,
+        header: &RouteHeader,
         current: NodeId,
-        v: usize,
-    ) -> RouteDecision {
-        let net = expect_grid(net);
-        // Advance through intermediate destinations that have been reached.
-        while current == header.target() {
-            if header.pending_via() > 0 {
-                // Reached an intermediate via host: software forwarding, as
-                // in the SW-Based scheme — absorb, release every held
-                // channel, re-inject towards the next target. An in-flight
-                // retarget here could chain a forbidden (second-phase →
-                // first-phase) turn through the via node on the escape VC.
-                return RouteDecision::Absorb;
-            }
-            if header.advance_target(current) {
-                return RouteDecision::Deliver;
-            }
-        }
-        if header.is_deterministic() {
-            return self.route_deterministic(net, faults, header, current, v);
-        }
-        // Adaptive flavour, not yet faulted: any productive output of the
-        // current turn-rule phase on the adaptive VC pool. While any
-        // productive first-phase hop remains only first-phase hops are legal;
-        // afterwards the remaining productive hops are all second-phase, so a
-        // first-phase hop can never follow a second-phase hop towards the
-        // same target (offsets shrink monotonically under minimal routing).
-        let rule = self.rule;
+        mut emit: impl FnMut(usize, Direction),
+    ) {
+        let rule = self.0;
         let in_first_phase = |&(dim, dir): &(usize, Direction)| {
             rule.first_direction(dim)
                 .expect("turn-model rules order every dimension")
@@ -385,101 +222,29 @@ impl RoutingAlgorithm for TurnModelRouting {
         };
         let prods = productive_outputs(net, header, current);
         let first_phase = prods.iter().any(in_first_phase);
-        let adaptive_vcs: Vec<usize> = (1..v).collect();
-        let mut candidates: Vec<OutputCandidate> = prods
-            .into_iter()
-            .filter(|hop| !first_phase || in_first_phase(hop))
-            .filter(|&(dim, dir)| faults.output_usable(net, current, dim, dir))
-            .map(|(dim, dir)| OutputCandidate::new(dim, dir, adaptive_vcs.clone()))
-            .collect();
-        if let Some((dim, dir)) = turn_rule_output(net, rule, header, current) {
-            if faults.output_usable(net, current, dim, dir) {
-                candidates.push(OutputCandidate::escape(dim, dir, 0));
+        for (dim, dir) in prods {
+            if !first_phase || in_first_phase(&(dim, dir)) {
+                emit(dim, dir);
             }
         }
-        if candidates.is_empty() {
-            return RouteDecision::Absorb;
-        }
-        RouteDecision::Forward(candidates)
     }
 
-    fn note_hop(
+    fn detour(
         &self,
-        net: &AnyTopology,
-        header: &mut RouteHeader,
-        from: NodeId,
-        dim: usize,
-        dir: Direction,
-    ) {
-        header.note_hop(net, from, dim, dir);
-    }
-
-    fn reroute_on_fault(
-        &self,
-        net: &AnyTopology,
+        net: &Network,
         faults: &FaultSet,
-        header: &mut RouteHeader,
         at: NodeId,
         blocked: (usize, Direction),
-    ) -> bool {
-        let net = expect_grid(net);
-        // Software forwarding: absorbed at a reached intermediate via host,
-        // not at a new fault — pop the reached target(s) and re-inject.
-        if at == header.target() && header.pending_via() > 0 {
-            header.absorptions += 1;
-            while at == header.target() && header.pending_via() > 0 {
-                header.advance_target(at);
-            }
-            return true;
-        }
-
-        header.absorptions += 1;
-        header.faulted = true;
-
-        // Rule 3 (fallback): out of budget, or already escorted yet absorbed
-        // again — compute an explicit fault-free path.
-        if header.escorted || header.misroute_budget == 0 {
-            return install_explicit_path(net, faults, header, at);
-        }
-        header.misroute_budget -= 1;
-
-        // Rule 1 (same dimension, opposite direction) is skipped outright:
-        // it only reaches the target the "wrong way round" a ring, and this
-        // model never runs on wrapped dimensions.
-
-        // Rule 2: orthogonal detour to slide along the fault region.
-        // `output_usable` is false for channels that do not exist, so mesh
-        // edges are skipped naturally.
-        let (blocked_dim, _) = blocked;
-        for o in orthogonal_order(net.dims(), blocked_dim) {
-            for cand_dir in Direction::BOTH {
-                if !faults.output_usable(net, at, o, cand_dir) {
-                    continue;
-                }
-                let via = net
-                    .neighbor(at, o, cand_dir)
-                    .expect("usable output leads to an existing neighbour");
-                if faults.is_node_faulty(via) {
-                    continue;
-                }
-                header.push_intermediate(via);
-                return true;
-            }
-        }
-
-        // Walled in except for the arrival channel: fall back to the explicit
-        // path, which exists as long as the network is connected.
-        install_explicit_path(net, faults, header, at)
-    }
-
-    fn name(&self) -> String {
-        format!("{} ({})", self.rule_label(), self.flavor.label())
+    ) -> Option<NodeId> {
+        orthogonal_detour(net, faults, at, blocked.0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::driver::drive;
+    use crate::RoutingAlgorithm;
 
     fn mesh() -> AnyTopology {
         AnyTopology::mesh(8, 2).unwrap()
@@ -494,47 +259,27 @@ mod tests {
         t.grid().unwrap().node_from_digits(digits).unwrap()
     }
 
-    /// Walks a message with the given algorithm, always taking the first
-    /// candidate, and returns the nodes visited. Panics on Absorb.
-    fn walk(
-        net: &AnyTopology,
-        faults: &FaultSet,
-        algo: &TurnModelRouting,
-        src: NodeId,
-        dest: NodeId,
-        v: usize,
-    ) -> Vec<NodeId> {
-        let mut header = algo.make_header(net, src, dest);
-        let mut current = src;
-        let mut visited = vec![src];
-        for _ in 0..10_000 {
-            match algo.route(net, faults, &mut header, current, v) {
-                RouteDecision::Deliver => return visited,
-                RouteDecision::Absorb => panic!("unexpected absorption at {current:?}"),
-                RouteDecision::Forward(cands) => {
-                    let c = &cands[0];
-                    algo.note_hop(net, &mut header, current, c.dim, c.dir);
-                    current = net.neighbor(current, c.dim, c.dir).expect("existing hop");
-                    visited.push(current);
-                }
-            }
-        }
-        panic!("message did not arrive");
-    }
-
-    /// Asserts a hop sequence never takes a Minus hop after a Plus hop.
-    fn assert_negative_first(net: &Network, visited: &[NodeId]) {
-        let mut seen_plus = false;
+    /// Asserts a hop sequence never takes a first-phase hop (under `rule`)
+    /// after a second-phase hop.
+    fn assert_obeys_rule(net: &Network, rule: TurnRule, visited: &[NodeId]) {
+        let mut seen_second_phase = false;
         for pair in visited.windows(2) {
             let (from, to) = (pair[0], pair[1]);
             let dim = (0..net.dims())
                 .find(|&d| net.position(from, d) != net.position(to, d))
                 .expect("consecutive nodes differ in exactly one dimension");
-            let plus = net.position(to, dim) > net.position(from, dim);
-            if plus {
-                seen_plus = true;
+            let dir = if net.position(to, dim) > net.position(from, dim) {
+                Direction::Plus
             } else {
-                assert!(!seen_plus, "Minus hop after a Plus hop in {visited:?}");
+                Direction::Minus
+            };
+            if Some(dir) == rule.first_direction(dim) {
+                assert!(
+                    !seen_second_phase,
+                    "first-phase hop after a second-phase hop in {visited:?}"
+                );
+            } else {
+                seen_second_phase = true;
             }
         }
     }
@@ -546,42 +291,70 @@ mod tests {
         let src = node(&m, &[3, 5]);
         let dest = node(&m, &[5, 2]);
         let h = RouteHeader::new(&m, src, dest, RoutingFlavor::Deterministic);
+        let nf = TurnRule::NegativeFirst;
         // Offset is (+2, -3): the negative dimension-1 offset goes first.
         assert_eq!(
-            negative_first_output(g, &h, src),
+            turn_rule_output(g, nf, &h, src),
             Some((1, Direction::Minus))
         );
         let mid = node(&m, &[3, 2]);
-        assert_eq!(
-            negative_first_output(g, &h, mid),
-            Some((0, Direction::Plus))
-        );
-        assert_eq!(negative_first_output(g, &h, dest), None);
+        assert_eq!(turn_rule_output(g, nf, &h, mid), Some((0, Direction::Plus)));
+        assert_eq!(turn_rule_output(g, nf, &h, dest), None);
     }
 
     #[test]
-    fn deterministic_walk_is_minimal_and_obeys_the_turn_restriction() {
+    fn fault_free_walks_are_minimal_and_obey_the_rule() {
         let m = mesh();
-        let algo = TurnModelRouting::deterministic();
-        for (s, d) in [([1u16, 6], [6u16, 1]), ([7, 0], [0, 7]), ([2, 2], [5, 5])] {
-            let src = node(&m, &s);
-            let dest = node(&m, &d);
-            let visited = walk(&m, &no_faults(), &algo, src, dest, 1);
-            assert_eq!(visited.len() as u32 - 1, m.distance(src, dest));
-            assert_eq!(*visited.last().unwrap(), dest);
-            assert_negative_first(m.grid().unwrap(), &visited);
+        type Pairs<'a> = &'a [([u16; 2], [u16; 2])];
+        let nf: Pairs = &[([1, 6], [6, 1]), ([7, 0], [0, 7]), ([2, 2], [5, 5])];
+        let other: Pairs = &[([1, 6], [6, 1]), ([7, 0], [0, 7]), ([5, 5], [2, 2])];
+        let rows: [(TurnModelRouting, TurnRule, usize, Pairs); 6] = [
+            (
+                TurnModelRouting::deterministic(),
+                TurnRule::NegativeFirst,
+                1,
+                nf,
+            ),
+            (
+                TurnModelRouting::adaptive(),
+                TurnRule::NegativeFirst,
+                2,
+                &[([6, 5], [1, 0])],
+            ),
+            (
+                TurnModelRouting::west_first_deterministic(),
+                TurnRule::WestFirst,
+                1,
+                other,
+            ),
+            (
+                TurnModelRouting::west_first_adaptive(),
+                TurnRule::WestFirst,
+                2,
+                other,
+            ),
+            (
+                TurnModelRouting::north_last_deterministic(),
+                TurnRule::NorthLast,
+                1,
+                other,
+            ),
+            (
+                TurnModelRouting::north_last_adaptive(),
+                TurnRule::NorthLast,
+                2,
+                other,
+            ),
+        ];
+        for (algo, rule, v, pairs) in rows {
+            for (s, d) in pairs {
+                let (src, dest) = (node(&m, s), node(&m, d));
+                let trace = drive(&algo, &m, &no_faults(), algo.make_header(&m, src, dest), v);
+                assert_eq!(trace.absorptions, 0, "{}", algo.name());
+                assert_eq!(trace.hops(), m.distance(src, dest), "{}", algo.name());
+                assert_obeys_rule(m.grid().unwrap(), rule, &trace.visited);
+            }
         }
-    }
-
-    #[test]
-    fn adaptive_walk_is_minimal_and_obeys_the_turn_restriction() {
-        let m = mesh();
-        let algo = TurnModelRouting::adaptive();
-        let src = node(&m, &[6, 5]);
-        let dest = node(&m, &[1, 0]);
-        let visited = walk(&m, &no_faults(), &algo, src, dest, 2);
-        assert_eq!(visited.len() as u32 - 1, m.distance(src, dest));
-        assert_negative_first(m.grid().unwrap(), &visited);
     }
 
     #[test]
@@ -627,25 +400,6 @@ mod tests {
     }
 
     #[test]
-    fn faulted_adaptive_messages_ride_the_escape_channel() {
-        let m = mesh();
-        let algo = TurnModelRouting::adaptive();
-        let src = node(&m, &[0, 0]);
-        let dest = node(&m, &[4, 0]);
-        let mut h = algo.make_header(&m, src, dest);
-        h.faulted = true;
-        let d = algo.route(&m, &no_faults(), &mut h, src, 3);
-        match d {
-            RouteDecision::Forward(cands) => {
-                assert_eq!(cands.len(), 1);
-                assert_eq!(cands[0].vcs, vec![0]);
-                assert!(cands[0].is_escape);
-            }
-            other => panic!("expected Forward, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn absorbs_at_fault_and_absorbs_only_when_all_phase_outputs_faulty() {
         let m = mesh();
         let mut faults = FaultSet::new();
@@ -686,82 +440,6 @@ mod tests {
         assert_eq!(header.pending_via(), 1);
         // From row 0 the only open orthogonal direction is Plus in dim 1.
         assert_eq!(header.target(), node(&m, &[1, 1]));
-    }
-
-    #[test]
-    fn reroute_falls_back_to_explicit_path_when_budget_exhausted() {
-        let m = mesh();
-        let mut faults = FaultSet::new();
-        faults.fail_node(node(&m, &[3, 3]));
-        let algo = TurnModelRouting::deterministic();
-        let at = node(&m, &[3, 2]);
-        let dest = node(&m, &[3, 5]);
-        let mut header = algo.make_header(&m, at, dest);
-        header.misroute_budget = 0;
-        assert!(algo.reroute_on_fault(&m, &faults, &mut header, at, (1, Direction::Plus)));
-        assert!(header.escorted);
-    }
-
-    #[test]
-    fn routes_around_a_fault_end_to_end() {
-        // Full software loop: route, absorb, re-route, re-inject until
-        // delivery, on a mesh and on a hypercube. The faulty node sits on the
-        // canonical negative-first path in each case.
-        let cases = [
-            (
-                AnyTopology::mesh(8, 2).unwrap(),
-                &[1u16, 0][..],
-                &[4, 0][..],
-                &[3, 0][..],
-            ),
-            (
-                AnyTopology::hypercube(4).unwrap(),
-                &[0, 0, 0, 0][..],
-                &[1, 1, 0, 0][..],
-                &[1, 0, 0, 0][..],
-            ),
-        ];
-        for (net, src, dest, blocker) in cases {
-            let mut faults = FaultSet::new();
-            faults.fail_node(node(&net, blocker));
-            for algo in [
-                TurnModelRouting::deterministic(),
-                TurnModelRouting::adaptive(),
-            ] {
-                let src = node(&net, src);
-                let dest = node(&net, dest);
-                let mut header = algo.make_header(&net, src, dest);
-                let mut current = src;
-                let mut steps = 0;
-                loop {
-                    steps += 1;
-                    assert!(steps < 1000, "livelock: message never delivered");
-                    match algo.route(&net, &faults, &mut header, current, 2) {
-                        RouteDecision::Deliver => break,
-                        RouteDecision::Forward(cands) => {
-                            let c = &cands[0];
-                            algo.note_hop(&net, &mut header, current, c.dim, c.dir);
-                            current = net.neighbor(current, c.dim, c.dir).expect("existing hop");
-                            assert!(!faults.is_node_faulty(current));
-                        }
-                        RouteDecision::Absorb => {
-                            let blocked = algo
-                                .deterministic_output(&net, &header, current)
-                                .unwrap_or((0, Direction::Plus));
-                            assert!(algo.reroute_on_fault(
-                                &net,
-                                &faults,
-                                &mut header,
-                                current,
-                                blocked
-                            ));
-                            header.reset_for_injection();
-                        }
-                    }
-                }
-                assert_eq!(current, dest, "{}", algo.name());
-            }
-        }
     }
 
     #[test]
@@ -827,49 +505,6 @@ mod tests {
         assert!(msg.contains("cannot operate on topology 'ft:4,2'"));
     }
 
-    /// Asserts a hop sequence never takes a first-phase hop (under `rule`)
-    /// after a second-phase hop.
-    fn assert_obeys_rule(net: &Network, rule: TurnRule, visited: &[NodeId]) {
-        let mut seen_second_phase = false;
-        for pair in visited.windows(2) {
-            let (from, to) = (pair[0], pair[1]);
-            let dim = (0..net.dims())
-                .find(|&d| net.position(from, d) != net.position(to, d))
-                .expect("consecutive nodes differ in exactly one dimension");
-            let dir = if net.position(to, dim) > net.position(from, dim) {
-                Direction::Plus
-            } else {
-                Direction::Minus
-            };
-            if Some(dir) == rule.first_direction(dim) {
-                assert!(
-                    !seen_second_phase,
-                    "first-phase hop after a second-phase hop in {visited:?}"
-                );
-            } else {
-                seen_second_phase = true;
-            }
-        }
-    }
-
-    #[test]
-    fn west_first_walks_are_minimal_and_obey_the_rule() {
-        let m = mesh();
-        for (algo, v) in [
-            (TurnModelRouting::west_first_deterministic(), 1),
-            (TurnModelRouting::west_first_adaptive(), 2),
-        ] {
-            for (s, d) in [([1u16, 6], [6u16, 1]), ([7, 0], [0, 7]), ([5, 5], [2, 2])] {
-                let src = node(&m, &s);
-                let dest = node(&m, &d);
-                let visited = walk(&m, &no_faults(), &algo, src, dest, v);
-                assert_eq!(visited.len() as u32 - 1, m.distance(src, dest));
-                assert_eq!(*visited.last().unwrap(), dest);
-                assert_obeys_rule(m.grid().unwrap(), TurnRule::WestFirst, &visited);
-            }
-        }
-    }
-
     #[test]
     fn west_first_routes_west_before_everything_else() {
         let m = mesh();
@@ -892,62 +527,6 @@ mod tests {
             algo.deterministic_output(&m, &h2, src2),
             Some((1, Direction::Plus))
         );
-    }
-
-    #[test]
-    fn west_first_routes_around_a_fault() {
-        let m = mesh();
-        let mut faults = FaultSet::new();
-        faults.fail_node(node(&m, &[3, 0]));
-        for algo in [
-            TurnModelRouting::west_first_deterministic(),
-            TurnModelRouting::west_first_adaptive(),
-        ] {
-            let src = node(&m, &[4, 0]);
-            let dest = node(&m, &[1, 0]);
-            let mut header = algo.make_header(&m, src, dest);
-            let mut current = src;
-            let mut steps = 0;
-            loop {
-                steps += 1;
-                assert!(steps < 1000, "livelock: message never delivered");
-                match algo.route(&m, &faults, &mut header, current, 2) {
-                    RouteDecision::Deliver => break,
-                    RouteDecision::Forward(cands) => {
-                        let c = &cands[0];
-                        algo.note_hop(&m, &mut header, current, c.dim, c.dir);
-                        current = m.neighbor(current, c.dim, c.dir).expect("existing hop");
-                        assert!(!faults.is_node_faulty(current));
-                    }
-                    RouteDecision::Absorb => {
-                        let blocked = algo
-                            .deterministic_output(&m, &header, current)
-                            .unwrap_or((0, Direction::Plus));
-                        assert!(algo.reroute_on_fault(&m, &faults, &mut header, current, blocked));
-                        header.reset_for_injection();
-                    }
-                }
-            }
-            assert_eq!(current, dest, "{}", algo.name());
-        }
-    }
-
-    #[test]
-    fn north_last_walks_are_minimal_and_obey_the_rule() {
-        let m = mesh();
-        for (algo, v) in [
-            (TurnModelRouting::north_last_deterministic(), 1),
-            (TurnModelRouting::north_last_adaptive(), 2),
-        ] {
-            for (s, d) in [([1u16, 6], [6u16, 1]), ([7, 0], [0, 7]), ([5, 5], [2, 2])] {
-                let src = node(&m, &s);
-                let dest = node(&m, &d);
-                let visited = walk(&m, &no_faults(), &algo, src, dest, v);
-                assert_eq!(visited.len() as u32 - 1, m.distance(src, dest));
-                assert_eq!(*visited.last().unwrap(), dest);
-                assert_obeys_rule(m.grid().unwrap(), TurnRule::NorthLast, &visited);
-            }
-        }
     }
 
     #[test]
@@ -982,44 +561,6 @@ mod tests {
             algo.deterministic_output(&m, &h3, src3),
             Some((0, Direction::Plus))
         );
-    }
-
-    #[test]
-    fn north_last_routes_around_a_fault() {
-        let m = mesh();
-        let mut faults = FaultSet::new();
-        faults.fail_node(node(&m, &[3, 0]));
-        for algo in [
-            TurnModelRouting::north_last_deterministic(),
-            TurnModelRouting::north_last_adaptive(),
-        ] {
-            let src = node(&m, &[1, 0]);
-            let dest = node(&m, &[4, 0]);
-            let mut header = algo.make_header(&m, src, dest);
-            let mut current = src;
-            let mut steps = 0;
-            loop {
-                steps += 1;
-                assert!(steps < 1000, "livelock: message never delivered");
-                match algo.route(&m, &faults, &mut header, current, 2) {
-                    RouteDecision::Deliver => break,
-                    RouteDecision::Forward(cands) => {
-                        let c = &cands[0];
-                        algo.note_hop(&m, &mut header, current, c.dim, c.dir);
-                        current = m.neighbor(current, c.dim, c.dir).expect("existing hop");
-                        assert!(!faults.is_node_faulty(current));
-                    }
-                    RouteDecision::Absorb => {
-                        let blocked = algo
-                            .deterministic_output(&m, &header, current)
-                            .unwrap_or((0, Direction::Plus));
-                        assert!(algo.reroute_on_fault(&m, &faults, &mut header, current, blocked));
-                        header.reset_for_injection();
-                    }
-                }
-            }
-            assert_eq!(current, dest, "{}", algo.name());
-        }
     }
 
     #[test]
@@ -1059,24 +600,12 @@ mod tests {
             "North-Last (adaptive)"
         );
         assert_eq!(
-            TurnModelRouting::north_last_adaptive().rule(),
-            TurnRule::NorthLast
-        );
-        assert_eq!(
             TurnModelRouting::north_last_deterministic().min_virtual_channels(&m),
             1
         );
         assert_eq!(
-            TurnModelRouting::with_flavor(RoutingFlavor::Adaptive).flavor(),
+            TurnModelRouting::adaptive().flavor(),
             RoutingFlavor::Adaptive
-        );
-        assert_eq!(
-            TurnModelRouting::with_flavor(RoutingFlavor::Adaptive).rule(),
-            TurnRule::NegativeFirst
-        );
-        assert_eq!(
-            TurnModelRouting::west_first_adaptive().rule(),
-            TurnRule::WestFirst
         );
     }
 

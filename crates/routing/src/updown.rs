@@ -23,14 +23,15 @@
 //!   up/down output as the escape channel on VC 0, so two virtual channels
 //!   suffice.
 //!
-//! **Fault handling** adapts the Software-Based rules to the indirect
-//! topology. When the chosen output leads to a dead link or switch the
-//! message is absorbed and the software layer rewrites the header:
+//! **Fault handling** is the shared [`SoftwareLayer`], with a local detour
+//! native to the tree. When the chosen output leads to a dead link or switch
+//! the message is absorbed and the software layer rewrites the header:
 //!
 //! 1. *dead up-link or parent switch* — re-ascend through an alternate live
 //!    parent (installed as an intermediate destination). This preserves the
 //!    `up* down*` discipline: the message was still in its up-phase, and any
-//!    parent is a valid ascent.
+//!    parent is a valid ascent. Only these up-phase faults spend misroute
+//!    budget, including at an endpoint, which has no alternate parent.
 //! 2. *dead down-link or child switch* — re-ascending after a down-hop would
 //!    break the up/down order, so the software layer immediately computes an
 //!    explicit fault-free path (rule 3 of the paper's scheme); the escorted
@@ -42,15 +43,13 @@
 //!    failure), `reroute_on_fault` reports `false` and the message is
 //!    dropped.
 //!
-//! Like the grid schemes rejecting fat-trees, [`UpDownRouting`] rejects
-//! direct grids at construction time with a typed
-//! [`RoutingTopologyError::UnsupportedTopology`].
+//! Rule 1 of the grid schemes (same dimension, opposite direction) needs a
+//! ring, which a tree does not have. Like the grid schemes rejecting
+//! fat-trees, [`UpDownRouting`] rejects direct grids at construction time
+//! with a typed [`RoutingTopologyError::UnsupportedTopology`].
 
-use crate::decision::{OutputCandidate, RouteDecision};
 use crate::header::{RouteHeader, RoutingFlavor};
-use crate::swbased::{install_explicit_path, RoutingAlgorithm};
-use crate::turnmodel::RoutingTopologyError;
-use serde::{Deserialize, Serialize};
+use crate::layer::{BaseRouting, RoutingTopologyError, SoftwareLayer};
 use torus_faults::FaultSet;
 use torus_topology::{AnyTopology, Direction, FatTree, FatTreeNode, NodeId};
 
@@ -122,80 +121,31 @@ pub fn updown_output(
 
 /// Up*/down* routing on k-ary l-level fat-trees, in deterministic and
 /// adaptive flavours.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct UpDownRouting {
-    flavor: RoutingFlavor,
-}
+pub type UpDownRouting = SoftwareLayer<UpDownBase>;
 
 impl UpDownRouting {
     /// Deterministic up/down routing (destination-aligned ascent).
-    pub fn deterministic() -> Self {
-        UpDownRouting {
-            flavor: RoutingFlavor::Deterministic,
-        }
+    pub const fn deterministic() -> Self {
+        SoftwareLayer::new(UpDownBase, RoutingFlavor::Deterministic)
     }
 
     /// Adaptive up/down routing (any live parent on the ascent) with a
     /// deterministic up/down escape channel.
-    pub fn adaptive() -> Self {
-        UpDownRouting {
-            flavor: RoutingFlavor::Adaptive,
-        }
-    }
-
-    /// Constructs the algorithm for a given flavour.
-    pub fn with_flavor(flavor: RoutingFlavor) -> Self {
-        UpDownRouting { flavor }
-    }
-
-    /// Deterministic-mode routing step shared by the deterministic flavour
-    /// and by faulted messages of the adaptive flavour.
-    fn route_deterministic(
-        &self,
-        ft: &FatTree,
-        faults: &FaultSet,
-        header: &RouteHeader,
-        current: NodeId,
-        v: usize,
-    ) -> RouteDecision {
-        let Some((dim, dir)) = updown_output(ft, header, current) else {
-            // `route` already advanced through reached targets, so a missing
-            // output means the final destination.
-            return RouteDecision::Deliver;
-        };
-        if !faults.output_usable(ft, current, dim, dir) {
-            return RouteDecision::Absorb;
-        }
-        let (vcs, is_escape) = if header.flavor == RoutingFlavor::Adaptive {
-            // Faulted adaptive-flavour messages travel on the up/down escape
-            // channel, mirroring the grid schemes' escape layers.
-            (vec![0], true)
-        } else {
-            // The up/down order alone is deadlock free: the whole pool is
-            // permitted with a single VC class.
-            ((0..v).collect(), false)
-        };
-        RouteDecision::Forward(vec![OutputCandidate {
-            dim,
-            dir,
-            vcs,
-            is_escape,
-        }])
+    pub const fn adaptive() -> Self {
+        SoftwareLayer::new(UpDownBase, RoutingFlavor::Adaptive)
     }
 }
 
-impl RoutingAlgorithm for UpDownRouting {
-    fn flavor(&self) -> RoutingFlavor {
-        self.flavor
-    }
+/// The up*/down* order as a base routing: the destination-aligned ascent as
+/// the deterministic (and escape) output, any parent on the adaptive ascent.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct UpDownBase;
 
-    fn min_virtual_channels(&self, _net: &AnyTopology) -> usize {
-        match self.flavor {
-            // The up*/down* channel order alone is deadlock free.
-            RoutingFlavor::Deterministic => 1,
-            // One up/down escape channel plus at least one adaptive channel.
-            RoutingFlavor::Adaptive => 2,
-        }
+impl BaseRouting for UpDownBase {
+    type Net = FatTree;
+
+    fn name(&self) -> &'static str {
+        "Up/Down"
     }
 
     fn supported_on(&self, net: &AnyTopology) -> Result<(), RoutingTopologyError> {
@@ -210,150 +160,72 @@ impl RoutingAlgorithm for UpDownRouting {
         Ok(())
     }
 
+    fn view(net: &AnyTopology) -> &FatTree {
+        expect_fat_tree(net)
+    }
+
     fn deterministic_output(
         &self,
-        net: &AnyTopology,
+        ft: &FatTree,
         header: &RouteHeader,
         current: NodeId,
     ) -> Option<(usize, Direction)> {
-        updown_output(expect_fat_tree(net), header, current)
+        updown_output(ft, header, current)
     }
 
-    fn make_header(&self, net: &AnyTopology, src: NodeId, dest: NodeId) -> RouteHeader {
-        RouteHeader::new(net, src, dest, self.flavor)
-    }
-
-    fn route(
+    /// On the descent the next hop is unique; on the ascent every parent is
+    /// minimal (all parents reach a common ancestor at the same meeting
+    /// level). Up-ports that do not exist are dropped by the layer along
+    /// with the faulty ones.
+    fn adaptive_outputs(
         &self,
-        net: &AnyTopology,
-        faults: &FaultSet,
-        header: &mut RouteHeader,
+        ft: &FatTree,
+        header: &RouteHeader,
         current: NodeId,
-        v: usize,
-    ) -> RouteDecision {
-        let ft = expect_fat_tree(net);
-        // Advance through intermediate destinations that have been reached.
-        while current == header.target() {
-            if header.pending_via() > 0 {
-                // Reached an intermediate via target: software forwarding, as
-                // in the grid schemes — absorb, release every held channel,
-                // re-inject towards the next target. The release is what lets
-                // an escorted fat-tree path alternate between descents and
-                // ascents without closing an up/down dependency cycle.
-                return RouteDecision::Absorb;
-            }
-            if header.advance_target(current) {
-                return RouteDecision::Deliver;
-            }
-        }
-        if header.is_deterministic() {
-            return self.route_deterministic(ft, faults, header, current, v);
-        }
-        // Adaptive flavour, not yet faulted. On the descent the next hop is
-        // unique; on the ascent every live parent is minimal (all parents
-        // reach a common ancestor at the same meeting level).
-        let target = header.target();
-        let adaptive_vcs: Vec<usize> = (1..v).collect();
-        let mut candidates: Vec<OutputCandidate> = if ft.descends_to(current, target) {
-            down_port_towards(ft, current, target)
-                .into_iter()
-                .filter(|&t| faults.output_usable(ft, current, t, Direction::Minus))
-                .map(|t| OutputCandidate::new(t, Direction::Minus, adaptive_vcs.clone()))
-                .collect()
-        } else {
-            ft.parents(current)
-                .into_iter()
-                .filter(|&(t, parent)| {
-                    faults.output_usable(ft, current, t, Direction::Plus)
-                        && !faults.is_node_faulty(parent)
-                })
-                .map(|(t, _)| OutputCandidate::new(t, Direction::Plus, adaptive_vcs.clone()))
-                .collect()
-        };
-        if let Some((dim, dir)) = updown_output(ft, header, current) {
-            if faults.output_usable(ft, current, dim, dir) {
-                candidates.push(OutputCandidate::escape(dim, dir, 0));
-            }
-        }
-        if candidates.is_empty() {
-            return RouteDecision::Absorb;
-        }
-        RouteDecision::Forward(candidates)
-    }
-
-    fn note_hop(
-        &self,
-        net: &AnyTopology,
-        header: &mut RouteHeader,
-        from: NodeId,
-        dim: usize,
-        dir: Direction,
+        mut emit: impl FnMut(usize, Direction),
     ) {
-        header.note_hop(net, from, dim, dir);
+        let target = header.target();
+        if ft.descends_to(current, target) {
+            if let Some(t) = down_port_towards(ft, current, target) {
+                emit(t, Direction::Minus);
+            }
+        } else {
+            for t in 0..ft.dims() {
+                emit(t, Direction::Plus);
+            }
+        }
     }
 
-    fn reroute_on_fault(
+    fn spends_budget(&self, (_, dir): (usize, Direction)) -> bool {
+        dir == Direction::Plus
+    }
+
+    /// A dead up-link or parent switch is survived by re-ascending through
+    /// any alternate live parent — the message is still in its up-phase, so
+    /// the up*/down* discipline is preserved. A down-phase fault has no local
+    /// detour: re-ascending would break the up/down order.
+    fn detour(
         &self,
-        net: &AnyTopology,
+        ft: &FatTree,
         faults: &FaultSet,
-        header: &mut RouteHeader,
         at: NodeId,
-        blocked: (usize, Direction),
-    ) -> bool {
-        let ft = expect_fat_tree(net);
-        // Software forwarding: absorbed at a reached intermediate via target,
-        // not at a new fault — pop the reached target(s) and re-inject.
-        if at == header.target() && header.pending_via() > 0 {
-            header.absorptions += 1;
-            while at == header.target() && header.pending_via() > 0 {
-                header.advance_target(at);
-            }
-            return true;
+        (blocked_port, dir): (usize, Direction),
+    ) -> Option<NodeId> {
+        if dir != Direction::Plus {
+            return None;
         }
-
-        header.absorptions += 1;
-        header.faulted = true;
-
-        // Rule 3 (fallback): out of budget, or already escorted yet absorbed
-        // again — compute an explicit fault-free path.
-        if header.escorted || header.misroute_budget == 0 {
-            return install_explicit_path(ft, faults, header, at);
-        }
-
-        // Rule 1 (fat-tree form): a dead up-link or parent switch is survived
-        // by re-ascending through any alternate live parent — the message is
-        // still in its up-phase, so the up*/down* discipline is preserved.
-        let (blocked_dim, blocked_dir) = blocked;
-        if blocked_dir == Direction::Plus {
-            header.misroute_budget -= 1;
-            for (t, parent) in ft.parents(at) {
-                if t == blocked_dim {
-                    continue;
-                }
-                if !faults.output_usable(ft, at, t, Direction::Plus)
-                    || faults.is_node_faulty(parent)
-                {
-                    continue;
-                }
-                header.push_intermediate(parent);
-                return true;
-            }
-        }
-
-        // Down-phase fault (re-ascending would break the up/down order), or
-        // every alternate parent dead: explicit fault-free path, which exists
-        // as long as the fault set leaves the tree connected.
-        install_explicit_path(ft, faults, header, at)
-    }
-
-    fn name(&self) -> String {
-        format!("Up/Down ({})", self.flavor.label())
+        ft.parents(at)
+            .into_iter()
+            .find(|&(t, _)| t != blocked_port && faults.output_usable(ft, at, t, Direction::Plus))
+            .map(|(_, parent)| parent)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::driver::drive;
+    use crate::RoutingAlgorithm;
 
     fn ft42() -> AnyTopology {
         AnyTopology::fat_tree_new(4, 2).unwrap()
@@ -361,34 +233,6 @@ mod tests {
 
     fn no_faults() -> FaultSet {
         FaultSet::new()
-    }
-
-    /// Walks a message with the given algorithm, always taking the first
-    /// candidate, and returns the nodes visited. Panics on Absorb.
-    fn walk(
-        net: &AnyTopology,
-        faults: &FaultSet,
-        algo: &UpDownRouting,
-        src: NodeId,
-        dest: NodeId,
-        v: usize,
-    ) -> Vec<NodeId> {
-        let mut header = algo.make_header(net, src, dest);
-        let mut current = src;
-        let mut visited = vec![src];
-        for _ in 0..10_000 {
-            match algo.route(net, faults, &mut header, current, v) {
-                RouteDecision::Deliver => return visited,
-                RouteDecision::Absorb => panic!("unexpected absorption at {current:?}"),
-                RouteDecision::Forward(cands) => {
-                    let c = &cands[0];
-                    algo.note_hop(net, &mut header, current, c.dim, c.dir);
-                    current = net.neighbor(current, c.dim, c.dir).expect("existing hop");
-                    visited.push(current);
-                }
-            }
-        }
-        panic!("message did not arrive");
     }
 
     /// Asserts a hop sequence never takes an up (Plus) hop after a down
@@ -411,30 +255,29 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_walks_are_minimal_up_down_paths() {
+    fn fault_free_walks_are_minimal_up_down_paths() {
+        let mut rows = Vec::new();
         for net in [ft42(), AnyTopology::fat_tree_new(2, 3).unwrap()] {
-            let algo = UpDownRouting::deterministic();
             let e = net.num_endpoints() as u32;
             for (s, d) in [(0u32, 1u32), (0, e - 1), (3, e / 2), (e - 1, 0)] {
-                let (src, dest) = (NodeId(s), NodeId(d));
-                let visited = walk(&net, &no_faults(), &algo, src, dest, 1);
-                assert_eq!(visited.len() as u32 - 1, net.distance(src, dest));
-                assert_eq!(*visited.last().unwrap(), dest);
-                assert_up_then_down(&net, &visited);
+                rows.push((net.clone(), UpDownRouting::deterministic(), 1, s, d));
             }
         }
-    }
-
-    #[test]
-    fn adaptive_walks_are_minimal_whatever_parent_is_taken() {
-        let net = ft42();
-        let algo = UpDownRouting::adaptive();
-        let src = NodeId(0);
-        let dest = NodeId(13);
         // First candidate each step — still minimal and up-then-down.
-        let visited = walk(&net, &no_faults(), &algo, src, dest, 2);
-        assert_eq!(visited.len() as u32 - 1, net.distance(src, dest));
-        assert_up_then_down(&net, &visited);
+        rows.push((ft42(), UpDownRouting::adaptive(), 2, 0, 13));
+        for (net, algo, v, s, d) in rows {
+            let (src, dest) = (NodeId(s), NodeId(d));
+            let trace = drive(
+                &algo,
+                &net,
+                &no_faults(),
+                algo.make_header(&net, src, dest),
+                v,
+            );
+            assert_eq!(trace.absorptions, 0, "{}", algo.name());
+            assert_eq!(trace.hops(), net.distance(src, dest), "{}", algo.name());
+            assert_up_then_down(&net, &trace.visited);
+        }
     }
 
     #[test]
@@ -472,23 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn faulted_adaptive_messages_ride_the_escape_channel() {
-        let net = ft42();
-        let algo = UpDownRouting::adaptive();
-        let mut h = algo.make_header(&net, NodeId(0), NodeId(13));
-        h.faulted = true;
-        let d = algo.route(&net, &no_faults(), &mut h, NodeId(0), 3);
-        match d {
-            RouteDecision::Forward(cands) => {
-                assert_eq!(cands.len(), 1);
-                assert_eq!(cands[0].vcs, vec![0]);
-                assert!(cands[0].is_escape);
-            }
-            other => panic!("expected Forward, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn dead_up_link_reroutes_through_an_alternate_parent() {
         let net = ft42();
         let ft = net.fat_tree().unwrap();
@@ -516,127 +342,26 @@ mod tests {
     }
 
     #[test]
-    fn routes_around_a_dead_top_switch_end_to_end() {
-        let net = ft42();
-        let ft = net.fat_tree().unwrap();
-        for algo in [UpDownRouting::deterministic(), UpDownRouting::adaptive()] {
-            let src = NodeId(0);
-            let dest = NodeId(13);
-            // Kill the top switch the canonical path ascends through.
-            let h0 = algo.make_header(&net, src, dest);
-            let leaf = ft.leaf_of(src);
-            let (t, _) = updown_output(ft, &h0, leaf).unwrap();
-            let blocked_top = ft.neighbor(leaf, t, Direction::Plus).unwrap();
-            let mut faults = FaultSet::new();
-            faults.fail_node(blocked_top);
-
-            let mut header = algo.make_header(&net, src, dest);
-            let mut current = src;
-            let mut steps = 0;
-            loop {
-                steps += 1;
-                assert!(steps < 1000, "livelock: message never delivered");
-                match algo.route(&net, &faults, &mut header, current, 2) {
-                    RouteDecision::Deliver => break,
-                    RouteDecision::Forward(cands) => {
-                        let c = &cands[0];
-                        algo.note_hop(&net, &mut header, current, c.dim, c.dir);
-                        current = net.neighbor(current, c.dim, c.dir).expect("existing hop");
-                        assert!(!faults.is_node_faulty(current));
-                    }
-                    RouteDecision::Absorb => {
-                        let blocked = algo
-                            .deterministic_output(&net, &header, current)
-                            .unwrap_or((0, Direction::Plus));
-                        assert!(algo.reroute_on_fault(
-                            &net,
-                            &faults,
-                            &mut header,
-                            current,
-                            blocked
-                        ));
-                        header.reset_for_injection();
-                    }
-                }
-            }
-            assert_eq!(current, dest, "{}", algo.name());
-            assert!(header.absorptions >= 1 || algo.flavor() == RoutingFlavor::Adaptive);
-        }
-    }
-
-    #[test]
-    fn down_phase_fault_falls_back_to_an_explicit_path() {
-        // ft:2,3 gives a two-hop descent, so a fault can sit strictly inside
-        // the down-phase.
-        let net = AnyTopology::fat_tree_new(2, 3).unwrap();
-        let ft = net.fat_tree().unwrap();
-        let algo = UpDownRouting::deterministic();
-        let src = NodeId(0);
-        let dest = NodeId(7);
-        // The canonical descent to e7 passes its leaf switch s0.3; kill the
-        // *link* between s1.3 (mid level) and s0.3 instead of the leaf (the
-        // leaf is a single point of failure for e7).
-        let mid = ft.switch_id(1, 3);
-        let leaf = ft.switch_id(0, 3);
-        let (t, _) = ft
-            .neighbors(mid)
-            .iter()
-            .find_map(|&(ch, n)| (n == leaf).then_some((ch.dim, n)))
-            .unwrap();
-        let mut faults = FaultSet::new();
-        faults.fail_link(ft, mid, t, Direction::Minus);
-
-        let mut header = algo.make_header(&net, src, dest);
-        let mut current = src;
-        let mut steps = 0;
-        let mut went_escorted = false;
-        loop {
-            steps += 1;
-            assert!(steps < 1000, "livelock: message never delivered");
-            match algo.route(&net, &faults, &mut header, current, 1) {
-                RouteDecision::Deliver => break,
-                RouteDecision::Forward(cands) => {
-                    let c = &cands[0];
-                    algo.note_hop(&net, &mut header, current, c.dim, c.dir);
-                    current = net.neighbor(current, c.dim, c.dir).expect("existing hop");
-                }
-                RouteDecision::Absorb => {
-                    let blocked = algo
-                        .deterministic_output(&net, &header, current)
-                        .unwrap_or((0, Direction::Plus));
-                    assert!(algo.reroute_on_fault(&net, &faults, &mut header, current, blocked));
-                    went_escorted |= header.escorted;
-                    header.reset_for_injection();
-                }
-            }
-        }
-        assert_eq!(current, dest);
-        if header.absorptions > 0 {
-            assert!(
-                went_escorted,
-                "a down-phase fault must take the explicit-path rule"
-            );
-        }
-    }
-
-    #[test]
-    fn unreachable_destination_is_reported() {
-        // A leaf switch is a single point of failure for its endpoints.
+    fn misroute_budget_is_spent_only_on_up_phase_faults() {
         let net = ft42();
         let ft = net.fat_tree().unwrap();
         let algo = UpDownRouting::deterministic();
-        let dest = NodeId(13);
-        let mut faults = FaultSet::new();
-        faults.fail_node(ft.leaf_of(dest));
-        let mut header = algo.make_header(&net, NodeId(0), dest);
-        header.misroute_budget = 0;
-        assert!(!algo.reroute_on_fault(
-            &net,
-            &faults,
-            &mut header,
-            ft.leaf_of(NodeId(0)),
-            (0, Direction::Plus)
-        ));
+        let budget = algo
+            .make_header(&net, NodeId(0), NodeId(13))
+            .misroute_budget;
+        // An endpoint has a single parent: no alternate ascent, so the
+        // explicit path is installed, yet the up-phase fault still costs
+        // budget.
+        let mut h = algo.make_header(&net, NodeId(0), NodeId(13));
+        assert!(algo.reroute_on_fault(&net, &no_faults(), &mut h, NodeId(0), (0, Direction::Plus)));
+        assert_eq!((h.misroute_budget, h.escorted), (budget - 1, true));
+        // A down-phase fault goes straight to the explicit path for free.
+        let top = ft.switch_id(1, 0);
+        let mut h = algo.make_header(&net, NodeId(0), NodeId(13));
+        let blocked = algo.deterministic_output(&net, &h, top).unwrap();
+        assert_eq!(blocked.1, Direction::Minus);
+        assert!(algo.reroute_on_fault(&net, &no_faults(), &mut h, top, blocked));
+        assert_eq!((h.misroute_budget, h.escorted), (budget, true));
     }
 
     #[test]
@@ -671,10 +396,7 @@ mod tests {
             "Up/Down (deterministic)"
         );
         assert_eq!(UpDownRouting::adaptive().name(), "Up/Down (adaptive)");
-        assert_eq!(
-            UpDownRouting::with_flavor(RoutingFlavor::Adaptive).flavor(),
-            RoutingFlavor::Adaptive
-        );
+        assert_eq!(UpDownRouting::adaptive().flavor(), RoutingFlavor::Adaptive);
     }
 
     #[test]
@@ -710,8 +432,14 @@ mod tests {
     fn same_leaf_pairs_never_leave_the_leaf() {
         let net = ft42();
         let algo = UpDownRouting::deterministic();
-        let visited = walk(&net, &no_faults(), &algo, NodeId(0), NodeId(3), 1);
-        assert_eq!(visited.len(), 3); // e0 -> s0.0 -> e3
+        let trace = drive(
+            &algo,
+            &net,
+            &no_faults(),
+            algo.make_header(&net, NodeId(0), NodeId(3)),
+            1,
+        );
+        assert_eq!(trace.visited.len(), 3); // e0 -> s0.0 -> e3
         assert_eq!(net.distance(NodeId(0), NodeId(3)), 2);
     }
 }
