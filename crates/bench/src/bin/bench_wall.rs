@@ -6,11 +6,8 @@
 //! the per-figure and whole-suite wall clocks, speedups and CSV digests:
 //! the wall-clock performance trajectory of the paper reproduction.
 //!
-//! Build with `--no-default-features` for clean wall-clock numbers: the
-//! per-cycle sanitizer is a default feature (forwarded down to `torus-sim`)
-//! and costs a large constant factor that this benchmark would otherwise
-//! measure. Disabling it never changes results — the sanitizer is an
-//! observer, not a participant.
+//! No figure attaches the runtime sanitizer, so a plain release build
+//! measures the uninstrumented engines.
 //!
 //! ```text
 //! usage: bench_wall [--smoke] [--jobs N|auto] [--figures fig3,fig5]

@@ -33,6 +33,9 @@ pub enum SimConfigError {
     /// at least its header flit; rather than silently clamping the length to
     /// one flit at generation time, the configuration is rejected up front.
     ZeroMessageLength,
+    /// The traffic rate is NaN, negative or infinite. The rate is carried
+    /// rendered (`NaN`, `-0.5`, `inf`) so the error stays `Eq`.
+    InvalidRate(String),
     /// The topology parameters are invalid.
     Topology(torus_topology::NetworkError),
     /// The routing algorithm cannot operate on this topology (e.g. a turn
@@ -58,6 +61,10 @@ impl fmt::Display for SimConfigError {
             SimConfigError::ZeroMessageLength => write!(
                 f,
                 "the workload is configured with zero-length messages (every message needs at least its header flit)"
+            ),
+            SimConfigError::InvalidRate(rate) => write!(
+                f,
+                "traffic rate {rate} must be a finite, non-negative number of messages/node/cycle"
             ),
             SimConfigError::Topology(e) => write!(f, "invalid topology: {e}"),
             SimConfigError::UnsupportedRouting {
@@ -175,6 +182,10 @@ impl SimConfig {
         if self.traffic.length.min_flits() == 0 {
             return Err(SimConfigError::ZeroMessageLength);
         }
+        let rate = self.traffic.rate;
+        if !(rate.is_finite() && rate >= 0.0) {
+            return Err(SimConfigError::InvalidRate(rate.to_string()));
+        }
         if self.virtual_channels < min_vcs {
             return Err(SimConfigError::TooFewVirtualChannels {
                 requested: self.virtual_channels,
@@ -233,6 +244,16 @@ mod tests {
         c.buffer_depth = 0;
         assert_eq!(c.validate(2), Err(SimConfigError::ZeroBufferDepth));
         c.buffer_depth = 2;
+        for (rate, rendered) in [(f64::NAN, "NaN"), (-0.5, "-0.5"), (f64::INFINITY, "inf")] {
+            c.traffic.rate = rate;
+            let err = c.validate(2).expect_err("invalid rate must be rejected");
+            assert_eq!(err, SimConfigError::InvalidRate(rendered.into()));
+            assert!(err
+                .to_string()
+                .contains(&format!("traffic rate {rendered} ")));
+        }
+        c.traffic.rate = 0.0;
+        assert!(c.validate(2).is_ok());
         c.topology = TopologySpec::torus(1, 2);
         assert!(matches!(c.validate(2), Err(SimConfigError::Topology(_))));
     }

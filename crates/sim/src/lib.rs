@@ -42,11 +42,12 @@
 //! simplest possible way and is used by the equivalence tests and benchmarks
 //! as the executable specification.
 //!
-//! With the `sanitizer` cargo feature (on by default; disable it for release
-//! benchmarks) both engines accept an invariant-checking observer
-//! ([`sanitizer::Sanitizer`]) that audits conservation invariants every cycle
-//! and checks the runtime wait-for graph against a statically extracted exact
-//! channel-dependency graph.
+//! Both engines accept an invariant-checking observer
+//! ([`sanitizer::Sanitizer`]), attached at runtime with `attach_sanitizer`,
+//! that audits conservation invariants every cycle and checks the runtime
+//! wait-for graph against a statically extracted exact channel-dependency
+//! graph. An engine with nothing attached skips the hooks; attaching one
+//! never changes a run's results.
 
 pub mod active;
 pub mod config;

@@ -72,7 +72,7 @@ use torus_workloads::TrafficSource;
 const WATCHDOG_STRIDE: u64 = 128;
 
 /// Result of running a simulation to its stop condition.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunOutcome {
     /// The metrics report of the run.
     pub report: SimulationReport,
@@ -122,8 +122,7 @@ pub struct Simulation<A: RoutingAlgorithm> {
     stage_scratch: Vec<usize>,
     /// Next cycle the stall watchdog must scan at.
     watchdog_next: u64,
-    /// Optional invariant-checking observer (attached by tests; the hooks
-    /// that feed it are compiled only with the `sanitizer` feature).
+    /// Optional invariant-checking observer, attached at runtime.
     sanitizer: Option<Box<Sanitizer>>,
 }
 
@@ -212,19 +211,12 @@ impl<A: RoutingAlgorithm> Simulation<A> {
     /// extracted exact CDG (per-VC granularity, matching this configuration's
     /// topology, routing, VC count and fault set) to additionally enforce
     /// runtime wait-for conformance, or `None` for conservation checks only.
-    #[cfg(feature = "sanitizer")]
     pub fn attach_sanitizer(&mut self, cdg: Option<torus_routing::cdg::DependencyGraph>) {
-        let all_tracked = self.algo.flavor() == torus_routing::RoutingFlavor::Deterministic;
-        self.sanitizer = Some(Box::new(Sanitizer::new(
-            self.config.virtual_channels,
-            self.config.buffer_depth,
-            all_tracked,
-            cdg,
-        )));
+        let sanitizer = Sanitizer::for_run(&self.config, self.algo.flavor(), cdg);
+        self.sanitizer = Some(Box::new(sanitizer));
     }
 
-    /// The attached sanitizer, if any (always `None` unless
-    /// `attach_sanitizer` was called under the `sanitizer` feature).
+    /// The attached sanitizer, if any.
     pub fn sanitizer(&self) -> Option<&Sanitizer> {
         self.sanitizer.as_deref()
     }
@@ -327,20 +319,15 @@ impl<A: RoutingAlgorithm> Simulation<A> {
         if self.config.stall_absorb_threshold > 0 && now >= self.watchdog_next {
             self.stall_watchdog(now);
         }
-        #[cfg(feature = "sanitizer")]
-        {
-            let mut sanitizer = self.sanitizer.take();
-            if let Some(s) = sanitizer.as_deref_mut() {
-                s.check_cycle(
-                    now,
-                    &self.net,
-                    &self.faults,
-                    &self.routers,
-                    &self.messages,
-                    self.in_flight,
-                );
-            }
-            self.sanitizer = sanitizer;
+        if let Some(s) = self.sanitizer.as_deref_mut() {
+            s.check_cycle(
+                now,
+                &self.net,
+                &self.faults,
+                &self.routers,
+                &self.messages,
+                self.in_flight,
+            );
         }
         self.cycle = now + 1;
     }
@@ -441,8 +428,6 @@ impl<A: RoutingAlgorithm> Simulation<A> {
     }
 
     fn route_and_allocate(&mut self, now: u64) {
-        #[cfg(feature = "sanitizer")]
-        let mut sanitizer = self.sanitizer.take();
         let Simulation {
             net,
             faults,
@@ -453,6 +438,7 @@ impl<A: RoutingAlgorithm> Simulation<A> {
             rng,
             busy_set,
             stage_scratch,
+            sanitizer,
             ..
         } = self;
         let v = config.virtual_channels;
@@ -518,7 +504,7 @@ impl<A: RoutingAlgorithm> Simulation<A> {
                                     break;
                                 }
                             }
-                            if let Some((out_port, out_vc, _is_escape)) = chosen {
+                            if let Some((out_port, out_vc, is_escape)) = chosen {
                                 router.outputs[out_port][out_vc].owner = Some(msg_id);
                                 router.outputs[out_port][out_vc].draining = false;
                                 router.inputs[port][vc].route = Some(VcRoute {
@@ -526,11 +512,10 @@ impl<A: RoutingAlgorithm> Simulation<A> {
                                     target: RouteTarget::Network { out_port, out_vc },
                                     ready_at,
                                 });
-                                #[cfg(feature = "sanitizer")]
                                 if let Some(s) = sanitizer.as_deref_mut() {
                                     let (dim, dir) = RouterState::port_dim_dir(out_port);
                                     s.on_allocate(
-                                        now, net, msg_id, node, dim, dir, out_vc, _is_escape,
+                                        now, net, msg_id, node, dim, dir, out_vc, is_escape,
                                     );
                                 }
                             }
@@ -539,15 +524,9 @@ impl<A: RoutingAlgorithm> Simulation<A> {
                 }
             }
         }
-        #[cfg(feature = "sanitizer")]
-        {
-            self.sanitizer = sanitizer;
-        }
     }
 
     fn switch_and_traverse(&mut self, now: u64) {
-        #[cfg(feature = "sanitizer")]
-        let mut sanitizer = self.sanitizer.take();
         let Simulation {
             net,
             faults,
@@ -564,6 +543,7 @@ impl<A: RoutingAlgorithm> Simulation<A> {
             busy_set,
             live_input_vcs,
             stage_scratch,
+            sanitizer,
             ..
         } = self;
         let v = config.virtual_channels;
@@ -608,7 +588,6 @@ impl<A: RoutingAlgorithm> Simulation<A> {
                     router.inputs[port][vc].route = None;
                     // Delivery, absorption and drop all release every channel
                     // the worm held, clearing its wait-for state.
-                    #[cfg(feature = "sanitizer")]
                     if let Some(s) = sanitizer.as_deref_mut() {
                         s.on_release(flit.msg);
                     }
@@ -741,10 +720,6 @@ impl<A: RoutingAlgorithm> Simulation<A> {
                 }
                 router.sa_pointer[out_port] = (flat + 1) % total_slots;
             }
-        }
-        #[cfg(feature = "sanitizer")]
-        {
-            self.sanitizer = sanitizer;
         }
     }
 

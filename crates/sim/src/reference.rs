@@ -11,8 +11,9 @@
 //! both engines across seeds, loads and fault scenarios and asserts they
 //! produce **bit-identical** [`SimulationReport`]s, and the `bench_cycles`
 //! runner in `torus-bench` times both to record the speedup of active-set
-//! scheduling. Keep this module boring — any cleverness belongs in the
-//! production engine.
+//! scheduling. It calls an attached [`Sanitizer`] at the same points as the
+//! production engine, so the equivalence suite audits both. Keep this module
+//! boring — any cleverness belongs in the production engine.
 
 use crate::config::{SimConfig, SimConfigError, StopCondition};
 use crate::flit::{Flit, MessageId};
@@ -46,8 +47,7 @@ pub struct ReferenceSimulation<A: RoutingAlgorithm> {
     forced_absorptions: u64,
     arrivals: Vec<(usize, usize, usize, Flit)>,
     credit_returns: Vec<(usize, usize, usize)>,
-    /// Optional invariant-checking observer (attached by tests; the hooks
-    /// that feed it are compiled only with the `sanitizer` feature).
+    /// Optional invariant-checking observer, attached at runtime.
     sanitizer: Option<Box<Sanitizer>>,
 }
 
@@ -120,19 +120,12 @@ impl<A: RoutingAlgorithm> ReferenceSimulation<A> {
     /// extracted exact CDG (per-VC granularity, matching this configuration's
     /// topology, routing, VC count and fault set) to additionally enforce
     /// runtime wait-for conformance, or `None` for conservation checks only.
-    #[cfg(feature = "sanitizer")]
     pub fn attach_sanitizer(&mut self, cdg: Option<torus_routing::cdg::DependencyGraph>) {
-        let all_tracked = self.algo.flavor() == torus_routing::RoutingFlavor::Deterministic;
-        self.sanitizer = Some(Box::new(Sanitizer::new(
-            self.config.virtual_channels,
-            self.config.buffer_depth,
-            all_tracked,
-            cdg,
-        )));
+        let sanitizer = Sanitizer::for_run(&self.config, self.algo.flavor(), cdg);
+        self.sanitizer = Some(Box::new(sanitizer));
     }
 
-    /// The attached sanitizer, if any (always `None` unless
-    /// `attach_sanitizer` was called under the `sanitizer` feature).
+    /// The attached sanitizer, if any.
     pub fn sanitizer(&self) -> Option<&Sanitizer> {
         self.sanitizer.as_deref()
     }
@@ -200,20 +193,15 @@ impl<A: RoutingAlgorithm> ReferenceSimulation<A> {
         if self.config.stall_absorb_threshold > 0 {
             self.stall_watchdog(now);
         }
-        #[cfg(feature = "sanitizer")]
-        {
-            let mut sanitizer = self.sanitizer.take();
-            if let Some(s) = sanitizer.as_deref_mut() {
-                s.check_cycle(
-                    now,
-                    &self.net,
-                    &self.faults,
-                    &self.routers,
-                    &self.messages,
-                    self.in_flight,
-                );
-            }
-            self.sanitizer = sanitizer;
+        if let Some(s) = self.sanitizer.as_deref_mut() {
+            s.check_cycle(
+                now,
+                &self.net,
+                &self.faults,
+                &self.routers,
+                &self.messages,
+                self.in_flight,
+            );
         }
         self.cycle = now + 1;
     }
@@ -289,8 +277,6 @@ impl<A: RoutingAlgorithm> ReferenceSimulation<A> {
     }
 
     fn route_and_allocate(&mut self, now: u64) {
-        #[cfg(feature = "sanitizer")]
-        let mut sanitizer = self.sanitizer.take();
         let ReferenceSimulation {
             net,
             faults,
@@ -299,6 +285,7 @@ impl<A: RoutingAlgorithm> ReferenceSimulation<A> {
             messages,
             config,
             rng,
+            sanitizer,
             ..
         } = self;
         let v = config.virtual_channels;
@@ -361,7 +348,7 @@ impl<A: RoutingAlgorithm> ReferenceSimulation<A> {
                                     break;
                                 }
                             }
-                            if let Some((out_port, out_vc, _is_escape)) = chosen {
+                            if let Some((out_port, out_vc, is_escape)) = chosen {
                                 router.outputs[out_port][out_vc].owner = Some(msg_id);
                                 router.outputs[out_port][out_vc].draining = false;
                                 router.inputs[port][vc].route = Some(VcRoute {
@@ -369,11 +356,10 @@ impl<A: RoutingAlgorithm> ReferenceSimulation<A> {
                                     target: RouteTarget::Network { out_port, out_vc },
                                     ready_at,
                                 });
-                                #[cfg(feature = "sanitizer")]
                                 if let Some(s) = sanitizer.as_deref_mut() {
                                     let (dim, dir) = RouterState::port_dim_dir(out_port);
                                     s.on_allocate(
-                                        now, net, msg_id, node, dim, dir, out_vc, _is_escape,
+                                        now, net, msg_id, node, dim, dir, out_vc, is_escape,
                                     );
                                 }
                             }
@@ -382,15 +368,9 @@ impl<A: RoutingAlgorithm> ReferenceSimulation<A> {
                 }
             }
         }
-        #[cfg(feature = "sanitizer")]
-        {
-            self.sanitizer = sanitizer;
-        }
     }
 
     fn switch_and_traverse(&mut self, now: u64) {
-        #[cfg(feature = "sanitizer")]
-        let mut sanitizer = self.sanitizer.take();
         let ReferenceSimulation {
             net,
             faults,
@@ -403,6 +383,7 @@ impl<A: RoutingAlgorithm> ReferenceSimulation<A> {
             dropped,
             arrivals,
             credit_returns,
+            sanitizer,
             ..
         } = self;
         let v = config.virtual_channels;
@@ -448,7 +429,6 @@ impl<A: RoutingAlgorithm> ReferenceSimulation<A> {
                     router.inputs[port][vc].route = None;
                     // Delivery, absorption and drop all release every channel
                     // the worm held, clearing its wait-for state.
-                    #[cfg(feature = "sanitizer")]
                     if let Some(s) = sanitizer.as_deref_mut() {
                         s.on_release(flit.msg);
                     }
@@ -560,10 +540,6 @@ impl<A: RoutingAlgorithm> ReferenceSimulation<A> {
                 }
                 router.sa_pointer[out_port] = (flat + 1) % total_slots;
             }
-        }
-        #[cfg(feature = "sanitizer")]
-        {
-            self.sanitizer = sanitizer;
         }
     }
 

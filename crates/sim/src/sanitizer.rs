@@ -33,16 +33,18 @@
 //!
 //! Violations are recorded, not panicked on, so tests can assert both
 //! directions: the equivalence suite asserts a clean run, the mutation tests
-//! assert a seeded bug is flagged. The module is always compiled (it has its
-//! own unit tests); the *hooks* in the engines are gated behind the
-//! `sanitizer` cargo feature so release benchmarks pay zero cost.
+//! assert a seeded bug is flagged. It is attached at runtime: an engine with
+//! no sanitizer attached skips every hook and runs exactly as it would with
+//! one, because the sanitizer only reads engine state.
 
+use crate::config::SimConfig;
 use crate::flit::MessageId;
 use crate::message::{MessagePhase, MessageSlab, MessageState};
 use crate::router::{RouteTarget, RouterState};
 use std::collections::HashMap;
 use torus_faults::FaultSet;
 use torus_routing::cdg::DependencyGraph;
+use torus_routing::RoutingFlavor;
 use torus_topology::{AnyTopology, DirectedChannel, Direction, NodeId};
 
 /// Upper bound on stored violation reports (the total count keeps growing).
@@ -102,8 +104,8 @@ impl MessageLookup for Vec<MessageState> {
 }
 
 /// The invariant-checking observer. Attach one to an engine with
-/// `attach_sanitizer` (requires the `sanitizer` cargo feature), run the
-/// simulation, then inspect [`Sanitizer::violations`].
+/// `attach_sanitizer`, run the simulation, then inspect
+/// [`Sanitizer::violations`].
 #[derive(Clone, Debug)]
 pub struct Sanitizer {
     /// Virtual channels per physical channel (the resource-id stride).
@@ -152,6 +154,22 @@ impl Sanitizer {
             cycles_checked: 0,
             edges_checked: 0,
         }
+    }
+
+    /// The sanitizer both engines attach for a run of `config` under a
+    /// routing of the given `flavor`: deterministic routing tracks every
+    /// allocation, adaptive routing only its escape allocations.
+    pub(crate) fn for_run(
+        config: &SimConfig,
+        flavor: RoutingFlavor,
+        allowed: Option<DependencyGraph>,
+    ) -> Self {
+        Sanitizer::new(
+            config.virtual_channels,
+            config.buffer_depth,
+            flavor == RoutingFlavor::Deterministic,
+            allowed,
+        )
     }
 
     /// The violations observed so far (capped at an internal limit; see

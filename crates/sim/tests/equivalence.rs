@@ -4,12 +4,14 @@
 //! floating-point accumulation order, same RNG stream — for every seed, load
 //! and fault scenario.
 //!
-//! With the `sanitizer` feature (the default) every case additionally runs
-//! both engines under the conservation sanitizer and asserts a clean audit:
-//! no flit created or destroyed outside inject/absorb, credit counters the
-//! exact complement of downstream occupancy, faulty components quiescent, no
-//! stale message references. (CDG-conformance runs, which need the static
-//! verifier, live in the workspace-level `sanitizer_conformance` suite.)
+//! Every case runs both engines under the conservation sanitizer and asserts
+//! a clean audit: no flit created or destroyed outside inject/absorb, credit
+//! counters the exact complement of downstream occupancy, faulty components
+//! quiescent, no stale message references. Every case also runs the active
+//! engine with nothing attached and asserts the same `RunOutcome`, so the
+//! sanitizer is shown to observe without participating. (CDG-conformance
+//! runs, which need the static verifier, live in the workspace-level
+//! `sanitizer_conformance` suite.)
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,35 +20,40 @@ use torus_routing::{RoutingAlgorithm, SwBasedRouting, TurnModelRouting, UpDownRo
 use torus_sim::{ReferenceSimulation, SimConfig, Simulation, StopCondition};
 use torus_topology::{AnyTopology, Direction, TopologySpec};
 
-/// Runs both engines with `algo` on the same configuration and asserts
-/// identical results. Returns the two engines' message-table peaks for
+/// Runs both engines with `algo` on the same configuration, audited, and
+/// asserts identical results, plus an unaudited active run identical to the
+/// audited one. Returns the two audited engines' message-table peaks for
 /// boundedness checks.
 fn assert_equivalent_with<A: RoutingAlgorithm + Clone>(
     config: SimConfig,
     faults: FaultSet,
     algo: A,
 ) -> (u64, u64) {
+    let mut plain = Simulation::new(config.clone(), faults.clone(), algo.clone())
+        .expect("valid config for the active engine");
     let mut a = Simulation::new(config.clone(), faults.clone(), algo.clone())
         .expect("valid config for the active engine");
     let mut r = ReferenceSimulation::new(config, faults, algo.clone())
         .expect("valid config for the reference engine");
-    #[cfg(feature = "sanitizer")]
-    {
-        a.attach_sanitizer(None);
-        r.attach_sanitizer(None);
-    }
-    let (active, reference) = (a.run(), r.run());
+    a.attach_sanitizer(None);
+    r.attach_sanitizer(None);
+    let (unaudited, active, reference) = (plain.run(), a.run(), r.run());
     for (engine, sanitizer) in [("active", a.sanitizer()), ("reference", r.sanitizer())] {
-        if let Some(s) = sanitizer {
-            assert!(
-                s.is_clean(),
-                "{engine} engine violated {} invariant(s) under {}; first: {:?}",
-                s.violation_count(),
-                algo.name(),
-                s.violations().first()
-            );
-        }
+        let s = sanitizer.expect("every equivalence case runs audited");
+        assert!(
+            s.is_clean(),
+            "{engine} engine violated {} invariant(s) under {}; first: {:?}",
+            s.violation_count(),
+            algo.name(),
+            s.violations().first()
+        );
     }
+    assert_eq!(
+        unaudited,
+        active,
+        "attaching the sanitizer changed the active engine's run under {}",
+        algo.name()
+    );
     assert_eq!(
         active.report,
         reference.report,
@@ -377,6 +384,20 @@ fn up_down_rejected_identically_by_both_engines_on_grids() {
         reference,
         SimConfigError::UnsupportedRouting { .. }
     ));
+}
+
+#[test]
+fn invalid_rate_rejected_identically_by_both_engines() {
+    use torus_sim::SimConfigError;
+    for (rate, rendered) in [(f64::NAN, "NaN"), (-0.5, "-0.5"), (f64::INFINITY, "inf")] {
+        let config = quick_topology(TopologySpec::torus(4, 2), 2, 8, rate, 1);
+        let expected = Some(SimConfigError::InvalidRate(rendered.into()));
+        let algo = SwBasedRouting::deterministic();
+        let active = Simulation::new(config.clone(), FaultSet::new(), algo).err();
+        let reference = ReferenceSimulation::new(config, FaultSet::new(), algo).err();
+        assert_eq!(active, expected, "active engine on rate {rendered}");
+        assert_eq!(reference, expected, "reference engine on rate {rendered}");
+    }
 }
 
 #[test]

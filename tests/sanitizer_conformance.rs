@@ -10,8 +10,6 @@
 //! with a concrete `cdg-divergence` report — proving the check can actually
 //! catch real protocol violations, not just vacuously pass.
 
-#![cfg(feature = "sanitizer")]
-
 use swbft::faults::{FaultRegion, FaultSet, RegionShape};
 use swbft::routing::cdg::DependencyGraph;
 use swbft::routing::{
